@@ -169,7 +169,7 @@ let node_factory ?kv_program ?scav_program p =
         max_cycles = p.horizon;
         prepare_core = (fun _ _ -> ());
         sync = Machine.Interleaved;
-        trace = true;
+        trace = false;
       }
     in
     {

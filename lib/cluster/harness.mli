@@ -51,7 +51,9 @@ val trace : params -> Cluster.spec list
 
 (** The replica factory (optionally serving instrumented programs);
     exposed for the fuzz oracle, which runs the same factory's output
-    through a single machine. *)
+    through a single machine. Its machines are untraced
+    ([Machine.trace = false]): nothing reads their event streams, and
+    untraced machines run the decoded-µop fast path. *)
 val node_factory :
   ?kv_program:Stallhide_isa.Program.t ->
   ?scav_program:Stallhide_isa.Program.t ->

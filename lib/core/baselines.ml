@@ -1,6 +1,5 @@
 open Stallhide_cpu
 open Stallhide_mem
-open Stallhide_pmu
 open Stallhide_runtime
 open Stallhide_workloads
 
@@ -30,30 +29,34 @@ let make_hier opts =
   opts.prepare_hier hier;
   hier
 
-(* Counters + latency recorder (+ telemetry when requested) composed
-   onto the caller's hooks. *)
-let instrumented_engine opts =
-  let counters = Counters.create () in
-  let recorder = Latency.recorder () in
-  let hooks =
-    Events.compose
-      ([ opts.engine.Engine.hooks; Counters.hooks counters; Latency.hooks recorder ]
-      @ match opts.obs with Some s -> [ Stallhide_obs.Stream.hooks s ] | None -> [])
-  in
-  (counters, recorder, { opts.engine with Engine.hooks = hooks })
+(* The caller's hooks, plus telemetry when an [obs] stream is set. With
+   neither they stay [Events.nop], so [Engine.fast_engaged] holds; op
+   counts and latencies come from the engine's own accounting on either
+   path. *)
+let engine_of opts =
+  match opts.obs with
+  | None -> opts.engine
+  | Some s ->
+      {
+        opts.engine with
+        Engine.hooks = Events.compose [ opts.engine.Engine.hooks; Stallhide_obs.Stream.hooks s ];
+      }
+
+let ops ctxs = Array.fold_left (fun acc c -> acc + c.Context.opmarks) 0 ctxs
+
+let metrics ~label ctxs recorded r =
+  Metrics.of_sched ~label ~ops:(ops ctxs) ~latency:(Latency.summarize (Latency.all recorded)) r
 
 let run_sequential ?label ?(opts = default_opts) w =
-  let counters, recorder, engine = instrumented_engine opts in
   let hier = make_hier opts in
   let ctxs = Workload.contexts w in
+  let log = Latency.watch ctxs in
   let r =
-    Scheduler.run_sequential ~engine ~max_cycles:opts.max_cycles ?obs:opts.obs hier
-      w.Workload.image ctxs
+    Scheduler.run_sequential ~engine:(engine_of opts) ~max_cycles:opts.max_cycles ?obs:opts.obs
+      hier w.Workload.image ctxs
   in
   let label = match label with Some l -> l | None -> w.Workload.name ^ "/none" in
-  Metrics.of_sched ~label ~ops:counters.Counters.ops
-    ~latency:(Latency.summarize (Latency.all recorder))
-    r
+  metrics ~label ctxs (Latency.of_log log) r
 
 let run_ooo ?label ?(opts = default_opts) ~window w =
   let opts = { opts with engine = { opts.engine with Engine.ooo_window = window } } in
@@ -61,17 +64,11 @@ let run_ooo ?label ?(opts = default_opts) ~window w =
   run_sequential ~label ~opts w
 
 let run_smt ?label ?(opts = default_opts) w =
-  let counters = Counters.create () in
-  let hooks =
-    Events.compose
-      ([ opts.engine.Engine.hooks; Counters.hooks counters ]
-      @ match opts.obs with Some s -> [ Stallhide_obs.Stream.hooks s ] | None -> [])
-  in
   let hier = make_hier opts in
   let ctxs = Workload.contexts w in
   let r =
     Smt.run
-      ~config:{ Smt.hooks; threshold = 0 }
+      ~config:{ Smt.hooks = (engine_of opts).Engine.hooks; threshold = 0 }
       hier w.Workload.image ctxs ~max_cycles:opts.max_cycles
   in
   let label =
@@ -79,20 +76,18 @@ let run_smt ?label ?(opts = default_opts) w =
     | Some l -> l
     | None -> Printf.sprintf "%s/smt-%d" w.Workload.name (Workload.lane_count w)
   in
-  Metrics.of_smt ~label ~ops:counters.Counters.ops r
+  Metrics.of_smt ~label ~ops:(ops ctxs) r
 
 let run_round_robin ?label ?(opts = default_opts) w =
-  let counters, recorder, engine = instrumented_engine opts in
   let hier = make_hier opts in
   let ctxs = Workload.contexts w in
+  let log = Latency.watch ctxs in
   let r =
-    Scheduler.run_round_robin ~engine ~max_cycles:opts.max_cycles ?obs:opts.obs
-      ~switch:opts.switch hier w.Workload.image ctxs
+    Scheduler.run_round_robin ~engine:(engine_of opts) ~max_cycles:opts.max_cycles
+      ?obs:opts.obs ~switch:opts.switch hier w.Workload.image ctxs
   in
   let label = match label with Some l -> l | None -> w.Workload.name ^ "/rr" in
-  Metrics.of_sched ~label ~ops:counters.Counters.ops
-    ~latency:(Latency.summarize (Latency.all recorder))
-    r
+  metrics ~label ctxs (Latency.of_log log) r
 
 let run_pgo ?label ?opts ?profile_config ?primary ?scavenger_interval ?verify w =
   let o = match opts with Some o -> o | None -> default_opts in
@@ -197,16 +192,23 @@ type dual_result = {
 let run_dual ?label ?(opts = default_opts) ~primary ~scavengers () =
   if primary.Workload.image != scavengers.Workload.image then
     invalid_arg "Baselines.run_dual: primary and scavengers must share one memory image";
-  let counters, recorder, engine = instrumented_engine opts in
   let hier = make_hier opts in
   let p_ctx = Workload.context primary ~lane:0 ~id:0 ~mode:Context.Primary in
   let s_ctxs =
     Array.init (Workload.lane_count scavengers) (fun lane ->
         Workload.context scavengers ~lane ~id:(lane + 1) ~mode:Context.Scavenger)
   in
+  let all = Array.append [| p_ctx |] s_ctxs in
+  let log = Latency.watch all in
   let r =
     Dual_mode.run
-      ~config:{ Dual_mode.engine; switch = opts.switch; drain = true; watchdog = opts.watchdog }
+      ~config:
+        {
+          Dual_mode.engine = engine_of opts;
+          switch = opts.switch;
+          drain = true;
+          watchdog = opts.watchdog;
+        }
       ~max_cycles:opts.max_cycles ?obs:opts.obs hier primary.Workload.image ~primary:p_ctx
       ~scavengers:s_ctxs
   in
@@ -215,12 +217,10 @@ let run_dual ?label ?(opts = default_opts) ~primary ~scavengers () =
     | Some l -> l
     | None -> Printf.sprintf "%s+%s/dual" primary.Workload.name scavengers.Workload.name
   in
+  let recorded = Latency.of_log log in
   {
-    metrics =
-      Metrics.of_sched ~label ~ops:counters.Counters.ops
-        ~latency:(Latency.summarize (Latency.all recorder))
-        r.Dual_mode.sched;
-    primary_latency = Latency.summarize (Latency.of_ctx recorder 0);
+    metrics = metrics ~label all recorded r.Dual_mode.sched;
+    primary_latency = Latency.summarize (Latency.of_ctx recorded 0);
     primary_done_at = r.Dual_mode.primary_done_at;
     scavenger_switches = r.Dual_mode.scavenger_switches;
     watchdog_strikes = r.Dual_mode.watchdog_strikes;

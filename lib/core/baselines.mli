@@ -1,8 +1,11 @@
 (** Runners for every mechanism compared in the paper.
 
-    Each runner builds a fresh cache hierarchy from [mem_cfg], attaches
-    counters and a latency recorder, executes the workload, and returns
-    {!Metrics.t}:
+    Each runner builds a fresh cache hierarchy from [mem_cfg], executes
+    the workload, and returns {!Metrics.t}. Op counts and op latencies
+    come from the engine's own accounting ({!Latency.watch}), so unless
+    the caller sets [engine.hooks] or [obs] the run composes no hooks and
+    takes the decoded-µop fast path; with them it takes the reference
+    interpreter and returns the same metrics.
 
     - {!run_sequential} — no hiding at all ("none"): every stall paid.
     - {!run_ooo} — sequential with an out-of-order overlap window

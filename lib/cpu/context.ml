@@ -1,10 +1,13 @@
 open Stallhide_isa
+open Stallhide_util
 
 type mode = Primary | Scavenger
 
 type status = Ready | Done | Faulted of string
 
 type regfile = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type op_log = { sample_ctx : int Vec.t; sample_lat : int Vec.t }
 
 type t = {
   id : int;
@@ -18,11 +21,13 @@ type t = {
   mutable domain : (int * int) option;
   mutable accel_done_at : int;  (* -1 = no operation outstanding *)
   mutable accel_result : int;
-  mutable uops : Uop.t option;  (* decoded micro-op cache, lazily built *)
   mutable instructions : int;
   mutable stall_cycles : int;
   mutable cond_checks : int;
   mutable yields : int;
+  mutable opmarks : int;
+  mutable last_opmark : int;  (* -1 until the first opmark arms the count *)
+  mutable op_log : op_log option;
   mutable started_at : int;
   mutable finished_at : int;
 }
@@ -45,11 +50,13 @@ let create ~id ~mode program =
     domain = None;
     accel_done_at = -1;
     accel_result = 0;
-    uops = None;
     instructions = 0;
     stall_cycles = 0;
     cond_checks = 0;
     yields = 0;
+    opmarks = 0;
+    last_opmark = -1;
+    op_log = None;
     started_at = -1;
     finished_at = -1;
   }
@@ -69,13 +76,17 @@ let regs_equal a b =
   done;
   !eq
 
-let uops t =
-  match t.uops with
-  | Some u -> u
-  | None ->
-      let u = Uop.decode t.program in
-      t.uops <- Some u;
-      u
+let op_log () = { sample_ctx = Vec.create (); sample_lat = Vec.create () }
+
+let opmark t ~cycle =
+  t.opmarks <- t.opmarks + 1;
+  (if t.last_opmark >= 0 then
+     match t.op_log with
+     | Some log ->
+         Vec.push log.sample_ctx t.id;
+         Vec.push log.sample_lat (cycle - t.last_opmark)
+     | None -> ());
+  t.last_opmark <- cycle
 
 let call_depth t = t.call_sp
 
@@ -105,6 +116,8 @@ let reset ?regs t =
   t.stall_cycles <- 0;
   t.cond_checks <- 0;
   t.yields <- 0;
+  t.opmarks <- 0;
+  t.last_opmark <- -1;
   t.started_at <- -1;
   t.finished_at <- -1;
   match regs with None -> () | Some l -> set_regs t l

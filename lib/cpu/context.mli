@@ -17,6 +17,12 @@ type status = Ready | Done | Faulted of string
     bigarrays compares contents, so snapshots still diff naturally. *)
 type regfile = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+(** Op-latency samples of a group of contexts that share the log, in
+    the order the engine took them: sample [i] is latency
+    [sample_lat.(i)] of context [sample_ctx.(i)]. Only contexts that
+    someone reads get one (see {!Stallhide_runtime.Latency.watch}). *)
+type op_log = { sample_ctx : int Stallhide_util.Vec.t; sample_lat : int Stallhide_util.Vec.t }
+
 type t = {
   id : int;
   program : Program.t;
@@ -35,14 +41,17 @@ type t = {
       (** completion cycle of the outstanding accelerator operation;
           [-1] when none is pending *)
   mutable accel_result : int;
-  mutable uops : Uop.t option;
-      (** decoded micro-op cache for [program], built on first fast-path
-          dispatch (see {!uops}) *)
   (* accounting *)
   mutable instructions : int;
   mutable stall_cycles : int;
   mutable cond_checks : int;
   mutable yields : int;
+  mutable opmarks : int;  (** [Opmark]s retired *)
+  mutable last_opmark : int;
+      (** cycle of the last [Opmark], -1 before the first *)
+  mutable op_log : op_log option;
+      (** where the engine records this context's op latencies; [None]
+          (default) records none *)
   mutable started_at : int;  (** first cycle the context ran, -1 before *)
   mutable finished_at : int;  (** cycle of [Halt], -1 before *)
 }
@@ -65,8 +74,16 @@ val regs_array : t -> int array
 (** Register files bit-identical? *)
 val regs_equal : t -> t -> bool
 
-(** The context's decoded micro-op cache, built on first use. *)
-val uops : t -> Uop.t
+(** A fresh, empty op log. *)
+val op_log : unit -> op_log
+
+(** Engine-native op accounting, run when an [Opmark] retires at
+    [cycle]: counts it in [opmarks] and, from the second opmark on,
+    logs the cycle distance from the previous one as a sample in
+    [op_log] (if set). The first opmark only arms the count — the same
+    rule as {!Stallhide_runtime.Latency.hooks}. Allocates nothing beyond
+    the log's amortized growth. *)
+val opmark : t -> cycle:int -> unit
 
 val call_depth : t -> int
 

@@ -303,6 +303,7 @@ let step cfg hier mem ~clock (ctx : Context.t) =
         else fault ctx "sfi violation: address %d outside domain at pc %d" addr pc
     | Instr.Opmark ->
         next ();
+        Context.opmark ctx ~cycle:!clock;
         cfg.hooks.on_opmark ~ctx:id ~pc ~cycle:!clock;
         retire ();
         Normal
@@ -345,8 +346,9 @@ let run_reference cfg hier mem ~clock ~deadline (ctx : Context.t) =
    records). Engaged by [run] only when hooks are off ([Events.nop] by
    physical equality) and no stall shape is armed, so nothing
    observable differs from [run_reference]: the cycle accounting below
-   mirrors the reference instruction-for-instruction, and
-   [test_engine_diff] holds the two bit-identical.
+   mirrors the reference instruction-for-instruction, op accounting
+   ([Context.opmark]) runs on both paths, and [test_engine_diff] holds
+   the two bit-identical.
 
    [load_block_threshold] needs no special casing here: at run level a
    [Blocked_until] is waited out immediately, which lands the same
@@ -354,7 +356,7 @@ let run_reference cfg hier mem ~clock ~deadline (ctx : Context.t) =
    full cost, paid stall accounted either way) — the split only
    matters to an SMT scheduler driving [step] itself. *)
 let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
-  let u = Context.uops ctx in
+  let u = Uop.of_program ctx.program in
   let ops = u.Uop.op
   and ra = u.Uop.a
   and rb = u.Uop.b
@@ -579,7 +581,10 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
           exec (now + Array.unsafe_get ucost pc + paid) (pc + 1)
         end
       end
-      else if op = Uop.op_opmark then exec now (pc + 1)
+      else if op = Uop.op_opmark then begin
+        Context.opmark ctx ~cycle:now;
+        exec now (pc + 1)
+      end
       else if op = Uop.op_nop then exec (now + Array.unsafe_get ucost pc) (pc + 1)
       else begin
         (* halt *)

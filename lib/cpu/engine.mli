@@ -35,7 +35,9 @@ type config = {
           whenever nothing observable is configured (hooks are
           {!Events.nop} by physical equality and no [stall_shape] is
           armed). Architectural results are bit-identical to the
-          reference interpreter ([test_engine_diff] is the gate); set
+          reference interpreter ([test_engine_diff] is the gate). Op
+          accounting needs no hooks: both paths run
+          {!Context.opmark} on every retired [Opmark]. Set
           [false] to force the reference path, e.g. as the baseline arm
           of the C25 speed bench. *)
 }

@@ -199,3 +199,13 @@ let decode program =
     else if op >= op_branch_imm && op < op_jump then chk pc t.a.(pc)
   done;
   t
+
+type Program.decoded += Decoded of t
+
+let of_program program =
+  match Program.decoded program with
+  | Decoded u -> u
+  | _ ->
+      let u = decode program in
+      Program.set_decoded program (Decoded u);
+      u

@@ -7,8 +7,8 @@
     boxed {!Stallhide_isa.Instr.t} variants every simulated cycle.
     Binop/Branch register- vs immediate-operand forms get distinct
     opcodes; [cost] is the precomputed {!Cost.base}; [target] is the
-    resolved control-flow target (-1 when none). The decode is memoized
-    per {!Context.t} (field [uops]). *)
+    resolved control-flow target (-1 when none). {!of_program} caches
+    one decode per program, shared by every context that runs it. *)
 
 open Stallhide_isa
 
@@ -73,4 +73,11 @@ val binop_index : Instr.binop -> int
 
 val cond_index : Instr.cond -> int
 
+(** A fresh decode of the program.
+    @raise Invalid_argument on a register operand out of range. *)
 val decode : Program.t -> t
+
+(** The program's decode, built by the first call and cached on the
+    program ({!Program.decoded}) for every later one. Safe to call from
+    several domains. *)
+val of_program : Program.t -> t

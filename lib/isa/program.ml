@@ -2,6 +2,10 @@ type item = Label of string | Ins of Instr.t
 
 type annot = { mutable live_regs : int option }
 
+type decoded = ..
+
+type decoded += Not_decoded
+
 type t = {
   code : Instr.t array;
   targets : int array;
@@ -9,6 +13,7 @@ type t = {
   labels_at : string list array;  (* labels attached to each pc, source order *)
   trailing_labels : string list;  (* labels after the last instruction *)
   annots : annot array;
+  decoded : decoded Atomic.t;
 }
 
 exception Error of string
@@ -52,7 +57,7 @@ let assemble items =
       code
   in
   let annots = Array.init n_ins (fun _ -> { live_regs = None }) in
-  { code; targets; labels; labels_at; trailing_labels; annots }
+  { code; targets; labels; labels_at; trailing_labels; annots; decoded = Atomic.make Not_decoded }
 
 let length t = Array.length t.code
 
@@ -66,6 +71,10 @@ let label_index t l =
 let has_label t l = Hashtbl.mem t.labels l
 
 let annot t pc = t.annots.(pc)
+
+let decoded t = Atomic.get t.decoded
+
+let set_decoded t d = Atomic.set t.decoded d
 
 let to_items t =
   let items = ref [] in

@@ -39,6 +39,19 @@ val has_label : t -> string -> bool
 
 val annot : t -> int -> annot
 
+(** The program's decoded-µop cache. The type is open only because
+    the µop form lives in a later layer: [Stallhide_cpu.Uop.of_program]
+    is the slot's one writer and reader, and no other layer stores
+    here. The slot is an [Atomic]: domains may read and fill it
+    concurrently, and a racing fill only wastes one equal decode. *)
+type decoded = ..
+
+type decoded += Not_decoded  (** not decoded yet *)
+
+val decoded : t -> decoded
+
+val set_decoded : t -> decoded -> unit
+
 (** Round-trips the program back to an item list (labels precede the
     instruction they mark; trailing labels are preserved). *)
 val to_items : t -> item list

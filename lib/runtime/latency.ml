@@ -22,6 +22,22 @@ let hooks r =
   in
   { Events.nop with on_opmark }
 
+let watch ctxs =
+  let log = Context.op_log () in
+  Array.iter (fun (c : Context.t) -> c.Context.op_log <- Some log) ctxs;
+  log
+
+(* Replaying the samples in the order the engine took them inserts each
+   context into [lats] at its first sample, as [hooks] would have, so
+   [all] folds the table in the same order and float sums over it stay
+   bit-identical. *)
+let of_log (log : Context.op_log) =
+  let r = recorder () in
+  for i = 0 to Vec.length log.Context.sample_ctx - 1 do
+    Vec.push (vec_of r (Vec.get log.Context.sample_ctx i)) (Vec.get log.Context.sample_lat i)
+  done;
+  r
+
 let of_ctx r ctx = match Hashtbl.find_opt r.lats ctx with Some v -> Vec.to_list v | None -> []
 
 let all r = Hashtbl.fold (fun _ v acc -> Vec.to_list v @ acc) r.lats []
@@ -41,21 +57,28 @@ type summary = {
    "inclusive" method): rank = q*(n-1); interpolate between the samples
    at floor(rank) and ceil(rank), then round to the nearest cycle. This
    replaced nearest-rank, whose step discontinuities made one-sample
-   shifts look like whole-bucket p99 jumps in the differential sweeps. *)
+   shifts look like whole-bucket p99 jumps in the differential sweeps.
+   [a] is sorted ascending and non-empty; [summarize] sorts once and
+   reads every percentile from the one array. *)
+let percentile_sorted a q =
+  let n = Array.length a in
+  let rank = q *. float_of_int (n - 1) in
+  let rank = Float.max 0.0 (Float.min (float_of_int (n - 1)) rank) in
+  let lo = int_of_float (Float.floor rank) in
+  let hi = min (n - 1) (lo + 1) in
+  let frac = rank -. float_of_int lo in
+  let v = float_of_int a.(lo) +. (frac *. float_of_int (a.(hi) - a.(lo))) in
+  int_of_float (Float.round v)
+
+let sorted xs =
+  let a = Array.of_list xs in
+  Array.sort Int.compare a;
+  a
+
 let percentile xs q =
   match xs with
   | [] -> invalid_arg "Latency.percentile: empty"
-  | _ ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      let n = Array.length a in
-      let rank = q *. float_of_int (n - 1) in
-      let rank = Float.max 0.0 (Float.min (float_of_int (n - 1)) rank) in
-      let lo = int_of_float (Float.floor rank) in
-      let hi = min (n - 1) (lo + 1) in
-      let frac = rank -. float_of_int lo in
-      let v = float_of_int a.(lo) +. (frac *. float_of_int (a.(hi) - a.(lo))) in
-      int_of_float (Float.round v)
+  | _ -> percentile_sorted (sorted xs) q
 
 let summarize xs =
   match xs with
@@ -71,16 +94,17 @@ let summarize xs =
             acc +. (d *. d))
           0.0 xs
       in
+      let a = sorted xs in
       Some
         {
           count = n;
           mean;
           stddev = sqrt (sq_dev /. float_of_int n);
-          p50 = percentile xs 0.50;
-          p90 = percentile xs 0.90;
-          p99 = percentile xs 0.99;
-          p999 = percentile xs 0.999;
-          max = List.fold_left max min_int xs;
+          p50 = percentile_sorted a 0.50;
+          p90 = percentile_sorted a 0.90;
+          p99 = percentile_sorted a 0.99;
+          p999 = percentile_sorted a 0.999;
+          max = a.(n - 1);
         }
 
 let empty_summary =

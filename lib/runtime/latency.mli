@@ -15,6 +15,18 @@ val recorder : unit -> recorder
 (** Hooks to compose into the engine configuration. *)
 val hooks : recorder -> Stallhide_cpu.Events.t
 
+(** Engine-native recording: [watch ctxs] gives [ctxs] one shared
+    {!Stallhide_cpu.Context.op_log} and returns it. The engine then
+    records their op latencies itself ({!Stallhide_cpu.Context.opmark}),
+    on the decoded-µop fast path as well as the reference interpreter,
+    by the same rule as {!hooks}. *)
+val watch : Stallhide_cpu.Context.t array -> Stallhide_cpu.Context.op_log
+
+(** The recorder {!hooks} would have built over the same run, rebuilt
+    from a log: {!of_ctx} and {!all} read it exactly as they read a
+    hooked recorder, down to the order of {!all}. *)
+val of_log : Stallhide_cpu.Context.op_log -> recorder
+
 (** Latencies recorded for context [ctx], oldest first. *)
 val of_ctx : recorder -> int -> int list
 

@@ -46,12 +46,15 @@ type request = {
 let request ~rid ~key ~home ~arrival ctx =
   { rid; key; home; arrival; ctx; served_by = -1; finished_at = -1 }
 
+type steal = { stolen : int; from_core : int; to_core : int; at : int }
+
 type core_result = {
   core_id : int;
   cycles : int;
   stats : Core_sched.stats;
   mem : Mem_stats.t;
   stream : Stallhide_obs.Stream.t;
+  steal_log : steal list;
   sojourns : int list;
   faults : string list;
 }
@@ -75,6 +78,7 @@ module Live = struct
     n : int;
     shared : Shared_l3.t;
     streams : Stallhide_obs.Stream.t array;
+    steal_logs : steal Vec.t array;
     scheds : Core_sched.t array;
     sojourns : int Vec.t array;
     by_ctx : (int, request) Hashtbl.t;
@@ -83,6 +87,16 @@ module Live = struct
     mutable last_arrival : int;
     mutable on_complete : (request -> core:int -> now:int -> unit) option;
   }
+
+  (* A steal always lands in the thief's log, traced or not (steals are
+     rare, and the log is what cross-domain determinism is checked on);
+     a traced machine also records it as a [Steal] event. *)
+  let note_steal ~trace ~streams ~steal_logs ~thief ~victim ~ctx ~at =
+    Vec.push steal_logs.(thief) { stolen = ctx.Context.id; from_core = victim; to_core = thief; at };
+    if trace then
+      Stallhide_obs.Stream.record streams.(thief)
+        (Stallhide_obs.Event.Steal
+           { ctx = ctx.Context.id; from_core = victim; to_core = thief; cycle = at })
 
   let create ?(config = default_config) ~policy ~mem ~scavengers () =
     let n = config.cores in
@@ -93,6 +107,7 @@ module Live = struct
       Shared_l3.create ~window:config.l3_window ~budget:config.l3_budget config.memcfg
     in
     let streams = Array.init n (fun _ -> Stallhide_obs.Stream.create ()) in
+    let steal_logs = Array.init n (fun _ -> Vec.create ()) in
     let scheds =
       Array.init n (fun i ->
           let hier =
@@ -102,9 +117,10 @@ module Live = struct
           in
           config.prepare_core i hier;
           (* [trace = false] keeps the engine hooks exactly as given
-             (normally [Events.nop]) and drops the per-slice dispatch
-             stream, so {!Engine.fast_engaged} can hold and the decoded
-             µop loop carries the whole window. *)
+             (normally [Events.nop]) and records nothing into the
+             streams — no dispatch, span or steal events — so
+             {!Engine.fast_engaged} can hold and the decoded µop loop
+             carries the whole window. *)
           let engine =
             if not config.trace then config.core.Core_sched.engine
             else
@@ -145,14 +161,8 @@ module Live = struct
               else
                 match Core_sched.donate scheds.(!best) with
                 | Some ctx as stolen ->
-                    Stallhide_obs.Stream.record streams.(i)
-                      (Stallhide_obs.Event.Steal
-                         {
-                           ctx = ctx.Context.id;
-                           from_core = !best;
-                           to_core = i;
-                           cycle = Core_sched.clock thief;
-                         });
+                    note_steal ~trace:config.trace ~streams ~steal_logs ~thief:i ~victim:!best
+                      ~ctx ~at:(Core_sched.clock thief);
                     stolen
                 | None -> None))
         scheds;
@@ -163,6 +173,7 @@ module Live = struct
         n;
         shared;
         streams;
+        steal_logs;
         scheds;
         sojourns = Array.init n (fun _ -> Vec.create ());
         by_ctx = Hashtbl.create 64;
@@ -178,9 +189,10 @@ module Live = struct
             match Hashtbl.find_opt t.by_ctx ctx.Context.id with
             | Some r ->
                 r.finished_at <- now;
-                Stallhide_obs.Stream.record streams.(i)
-                  (Stallhide_obs.Event.Span_close
-                     { ctx = ctx.Context.id; name = "request"; cycle = now });
+                if config.trace then
+                  Stallhide_obs.Stream.record streams.(i)
+                    (Stallhide_obs.Event.Span_close
+                       { ctx = ctx.Context.id; name = "request"; cycle = now });
                 Vec.push t.sojourns.(i) (now - r.arrival);
                 (match t.on_complete with Some f -> f r ~core:i ~now | None -> ())
             | None -> ()))
@@ -221,9 +233,10 @@ module Live = struct
       let depths = Array.init t.n (fun i -> Core_sched.queue_depth t.scheds.(i)) in
       let target = Dispatch.choose t.policy ~home:r.home ~depths in
       r.served_by <- target;
-      Stallhide_obs.Stream.record t.streams.(target)
-        (Stallhide_obs.Event.Span_open
-           { ctx = r.ctx.Context.id; name = "request"; cycle = r.arrival });
+      if t.config.trace then
+        Stallhide_obs.Stream.record t.streams.(target)
+          (Stallhide_obs.Event.Span_open
+             { ctx = r.ctx.Context.id; name = "request"; cycle = r.arrival });
       Core_sched.submit t.scheds.(target) r.ctx
     done
 
@@ -310,9 +323,10 @@ module Live = struct
         let depths = Array.init t.n (fun i -> Core_sched.queue_depth t.scheds.(i)) in
         let target = Dispatch.choose t.policy ~home:r.home ~depths in
         r.served_by <- target;
-        Stallhide_obs.Stream.record t.streams.(target)
-          (Stallhide_obs.Event.Span_open
-             { ctx = r.ctx.Context.id; name = "request"; cycle = r.arrival });
+        if t.config.trace then
+          Stallhide_obs.Stream.record t.streams.(target)
+            (Stallhide_obs.Event.Span_open
+               { ctx = r.ctx.Context.id; name = "request"; cycle = r.arrival });
         if Core_sched.quiescent t.scheds.(target) then
           Core_sched.advance_clock t.scheds.(target) r.arrival;
         Core_sched.submit t.scheds.(target) r.ctx
@@ -365,14 +379,8 @@ module Live = struct
               if !best >= 0 then
                 match Core_sched.donate t.scheds.(!best) with
                 | Some ctx ->
-                    Stallhide_obs.Stream.record t.streams.(i)
-                      (Stallhide_obs.Event.Steal
-                         {
-                           ctx = ctx.Context.id;
-                           from_core = !best;
-                           to_core = i;
-                           cycle = Core_sched.clock thief;
-                         });
+                    note_steal ~trace:t.config.trace ~streams:t.streams ~steal_logs:t.steal_logs
+                      ~thief:i ~victim:!best ~ctx ~at:(Core_sched.clock thief);
                     Core_sched.accept_stolen thief ctx
                 | None -> ()
             end)
@@ -421,6 +429,7 @@ module Live = struct
             stats = Core_sched.stats t.scheds.(i);
             mem = Hierarchy.stats (Core_sched.hierarchy t.scheds.(i));
             stream = t.streams.(i);
+            steal_log = Vec.to_list t.steal_logs.(i);
             sojourns = Vec.to_list t.sojourns.(i);
             faults = Core_sched.faults t.scheds.(i);
           })

@@ -58,8 +58,8 @@ type config = {
       (** default [true]: compose each core's event stream into the
           engine hooks and record per-slice dispatch events. [false]
           leaves the engine hooks untouched (normally {!Events.nop}) so
-          the decoded-µop fast path engages — the per-core event
-          streams then carry only request spans and steals. *)
+          the decoded-µop fast path engages, and records nothing into
+          the per-core event streams, which stay empty. *)
 }
 
 (** 4 cores, default memory geometry, window 32 / budget 16,
@@ -78,12 +78,19 @@ type request = {
 
 val request : rid:int -> key:int -> home:int -> arrival:int -> Context.t -> request
 
+(** One cross-core scavenger migration: context [stolen] moved from
+    core [from_core] to core [to_core] at the thief's clock [at]. *)
+type steal = { stolen : int; from_core : int; to_core : int; at : int }
+
 type core_result = {
   core_id : int;
   cycles : int;  (** this core's final local clock *)
   stats : Core_sched.stats;
   mem : Mem_stats.t;
-  stream : Stallhide_obs.Stream.t;
+  stream : Stallhide_obs.Stream.t;  (** empty when [config.trace = false] *)
+  steal_log : steal list;
+      (** steals this core made as thief, in order — kept whatever
+          [config.trace] says *)
   sojourns : int list;  (** completion - arrival, for requests finished here *)
   faults : string list;
 }

@@ -193,6 +193,99 @@ let test_conditional_oracle_beats_static_on_mixed () =
     true
     (cond.Metrics.throughput > static.Metrics.throughput)
 
+(* --- engine-native op accounting ---
+
+   Baselines reads op counts and op latencies from the engine's own
+   accounting, so the caller's hooks may only add observation: any hook
+   other than [Events.nop] (by physical equality) sends the engine to
+   its reference interpreter, and every run must still return the same
+   metrics. *)
+
+let reference_opts =
+  {
+    Baselines.default_opts with
+    Baselines.engine =
+      {
+        Stallhide_cpu.Engine.default_config with
+        Stallhide_cpu.Engine.hooks =
+          { Stallhide_cpu.Events.nop with on_opmark = (fun ~ctx:_ ~pc:_ ~cycle:_ -> ()) };
+      };
+  }
+
+let metrics_t = Alcotest.testable Metrics.pp ( = )
+
+let latency_t =
+  Alcotest.(option (testable Stallhide_runtime.Latency.pp_summary ( = )))
+
+(* kv requests with pointer-chase scavengers sharing one image, both
+   instrumented *)
+let dual_parts () =
+  let im = Address_space.create ~bytes:(1 lsl 24) in
+  let kv = Kv_server.make ~image:im ~requests:200 ~seed:1 () in
+  let sc = chase ~image:im ~lanes:4 ~hops:300 ~compute:100 () in
+  let kv', _ = Pipeline.instrument ~scavenger_interval:150 (Pipeline.profile kv) kv in
+  let sc', _ = Pipeline.instrument ~scavenger_interval:150 (Pipeline.profile sc) sc in
+  (kv', sc')
+
+let test_hooks_leave_metrics_unchanged () =
+  let mk () = chase ~lanes:4 ~hops:150 ~compute:20 () in
+  let both name run =
+    let fast = run Baselines.default_opts (mk ()) in
+    let reference = run reference_opts (mk ()) in
+    Alcotest.check metrics_t name reference fast
+  in
+  both "sequential" (fun opts w -> Baselines.run_sequential ~opts w);
+  both "ooo" (fun opts w -> Baselines.run_ooo ~opts ~window:40 w);
+  both "smt" (fun opts w -> Baselines.run_smt ~opts w);
+  both "round-robin" (fun opts w -> Baselines.run_round_robin ~opts w);
+  both "pgo" (fun opts w -> fst (Baselines.run_pgo ~opts w));
+  both "static" (fun opts w -> fst (Baselines.run_static ~opts w));
+  both "hybrid" (fun opts w -> fst (Baselines.run_hybrid ~opts w));
+  let dual opts =
+    let primary, scavengers = dual_parts () in
+    Baselines.run_dual ~opts ~primary ~scavengers ()
+  in
+  let fast = dual Baselines.default_opts and reference = dual reference_opts in
+  Alcotest.check metrics_t "dual" reference.Baselines.metrics fast.Baselines.metrics;
+  Alcotest.check latency_t "dual primary latency" reference.Baselines.primary_latency
+    fast.Baselines.primary_latency;
+  Alcotest.(check bool)
+    "dual primary latency recorded" true
+    (fast.Baselines.primary_latency <> None)
+
+(* A default-opts run must stay on the decoded-µop fast path. The
+   reference interpreter allocates on every instruction (its per-step
+   closures), the fast loop on none, so a run that fell back allocates
+   as much as the same run forced onto the reference path: about 20
+   minor words per instruction here, against about 1 (the latency
+   summaries) on the fast path. *)
+let test_default_runs_take_fast_path () =
+  let words setup run opts =
+    let input = setup () in
+    let m0 = Gc.minor_words () in
+    let (_ : Metrics.t) = run opts input in
+    Gc.minor_words () -. m0
+  in
+  let check name setup run =
+    let fast = words setup run Baselines.default_opts in
+    let reference = words setup run reference_opts in
+    if fast *. 4.0 > reference then
+      Alcotest.failf
+        "%s: %.0f minor words with default opts vs %.0f on the reference path: the run left \
+         the fast path"
+        name fast reference
+  in
+  let mk () = chase ~lanes:4 ~hops:300 ~compute:100 () in
+  let instrumented () =
+    let w = mk () in
+    fst (Pipeline.instrument (Pipeline.profile w) w)
+  in
+  check "sequential" mk (fun opts w -> Baselines.run_sequential ~opts w);
+  check "round-robin (pgo-instrumented)" instrumented (fun opts w ->
+      Baselines.run_round_robin ~opts w);
+  check "dual" dual_parts (fun opts (primary, scavengers) ->
+      (Baselines.run_dual ~opts ~primary ~scavengers ()).Baselines.metrics)
+
 (* --- full-pipeline semantics preservation (property) --- *)
 
 (* Random straight-line programs put through SFI + primary(Always) +
@@ -344,6 +437,13 @@ let () =
           Alcotest.test_case "dual latency vs symmetric" `Quick test_dual_latency_vs_symmetric;
           Alcotest.test_case "conditional beats static on hits" `Quick
             test_conditional_oracle_beats_static_on_mixed;
+        ] );
+      ( "accounting",
+        [
+          Alcotest.test_case "hooks leave metrics unchanged" `Quick
+            test_hooks_leave_metrics_unchanged;
+          Alcotest.test_case "default runs take the fast path" `Quick
+            test_default_runs_take_fast_path;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest qcheck_instrumentation_preserves_semantics ] );

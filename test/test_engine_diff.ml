@@ -2,7 +2,9 @@
    fast loop must be architecturally bit-identical to the reference
    interpreter — registers, memory, Mem_stats, instruction/stall/cycle
    counts — on every workload, on hundreds of generated programs, and
-   through the whole SMP harness in every placement mode. The
+   through the whole SMP harness in every placement mode — and each
+   context's op count and op-latency samples, which the engine records
+   itself on both paths by the rule of the Latency hooks. The
    zero-allocation regression keeps the fast path actually fast: its
    per-simulated-cycle minor-heap delta must be zero (only a small
    per-[Engine.run]-call constant is allowed, for the returned [stop]
@@ -47,18 +49,25 @@ let check_mem_stats label (a : Mem_stats.t) (b : Mem_stats.t) =
   f "useless_prefetches" (fun s -> s.Mem_stats.useless_prefetches)
 
 (* Run one arm of the single-engine differential: all lanes
-   sequentially on a private hierarchy. Returns everything observable. *)
+   sequentially on a private hierarchy, op latencies logged by the
+   engine. Returns everything observable. *)
 let run_arm engine (w : Workload.t) =
   let hier = Hierarchy.create memcfg in
   let ctxs = Workload.contexts w in
+  let log = Latency.watch ctxs in
   let r = Scheduler.run_sequential ~engine hier w.Workload.image ctxs in
-  (ctxs, hier, r)
+  (ctxs, hier, r, Latency.of_log log)
 
 let diff_one label ~make =
   let wf = make () in
   let wr = make () in
-  let cf, hf, rf = run_arm fast_engine wf in
-  let cr, hr, rr = run_arm ref_engine wr in
+  let cf, hf, rf, lf = run_arm fast_engine wf in
+  (* the reference arm also carries the Latency hooks: the engine's own
+     op accounting must follow their rule exactly *)
+  let hooked = Latency.recorder () in
+  let cr, hr, rr, lr =
+    run_arm { ref_engine with Engine.hooks = Latency.hooks hooked } wr
+  in
   let sf = State.capture ~mem:wf.Workload.image cf in
   let sr = State.capture ~mem:wr.Workload.image cr in
   (match State.diff sr sf with
@@ -80,8 +89,21 @@ let diff_one label ~make =
         a.Context.instructions b.Context.instructions;
       Alcotest.(check int)
         (Printf.sprintf "%s: ctx %d stall_cycles" label a.Context.id)
-        a.Context.stall_cycles b.Context.stall_cycles)
-    cr cf
+        a.Context.stall_cycles b.Context.stall_cycles;
+      Alcotest.(check int)
+        (Printf.sprintf "%s: ctx %d opmarks" label a.Context.id)
+        a.Context.opmarks b.Context.opmarks;
+      let id = a.Context.id in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: ctx %d latency samples vs hooks" label id)
+        (Latency.of_ctx hooked id) (Latency.of_ctx lr id);
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: ctx %d latency samples" label id)
+        (Latency.of_ctx lr id) (Latency.of_ctx lf id))
+    cr cf;
+  Alcotest.(check (list int)) (label ^ ": all latency samples vs hooks") (Latency.all hooked)
+    (Latency.all lr);
+  Alcotest.(check (list int)) (label ^ ": all latency samples") (Latency.all lr) (Latency.all lf)
 
 let test_workloads_diff () =
   List.iter (fun (name, make) -> diff_one name ~make:(fun () -> make 42)) makers;

@@ -306,6 +306,58 @@ let test_steal_correctness () =
   in
   Alcotest.(check bool) "a stolen scavenger ran remotely" true migrated
 
+(* An untraced machine records nothing — no dispatch, span or steal
+   events — in either sync mode, and serves the same run as a traced
+   one. *)
+let test_untraced_streams_empty () =
+  List.iter
+    (fun (name, sync) ->
+      let p = { small_params with Harness.sync } in
+      let traced = Harness.run p in
+      let r = Harness.run { p with Harness.trace = false } in
+      let res = r.Harness.result in
+      Alcotest.(check bool) (name ^ ": steals happened") true (res.Machine.steals > 0);
+      Alcotest.(check bool)
+        (name ^ ": same run as traced")
+        true
+        (fingerprint traced = fingerprint r);
+      (* the steal log survives untraced: it lists exactly the traced
+         run's Steal events, and the steal count *)
+      let steal_events (c : Machine.core_result) =
+        List.filter_map
+          (function
+            | Stallhide_obs.Event.Steal { ctx; from_core; to_core; cycle } ->
+                Some (ctx, from_core, to_core, cycle)
+            | _ -> None)
+          (Stallhide_obs.Stream.events c.Machine.stream)
+      in
+      let log_entries (c : Machine.core_result) =
+        List.map
+          (fun (s : Machine.steal) ->
+            (s.Machine.stolen, s.Machine.from_core, s.Machine.to_core, s.Machine.at))
+          c.Machine.steal_log
+      in
+      Array.iter2
+        (fun (ct : Machine.core_result) (cu : Machine.core_result) ->
+          let p = Printf.sprintf "%s: core %d " name cu.Machine.core_id in
+          Alcotest.(check bool) (p ^ "steal log = traced Steal events") true
+            (log_entries cu = steal_events ct);
+          Alcotest.(check int) (p ^ "steal log length") cu.Machine.stats.Core_sched.steals
+            (List.length cu.Machine.steal_log))
+        traced.Harness.result.Machine.per_core res.Machine.per_core;
+      Array.iter
+        (fun (c : Machine.core_result) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: core %d stream empty" name c.Machine.core_id)
+            0
+            (Stallhide_obs.Stream.length c.Machine.stream
+            + Stallhide_obs.Stream.dropped c.Machine.stream))
+        res.Machine.per_core)
+    [
+      ("interleaved", Machine.Interleaved);
+      ("barrier", Machine.Barrier { window = 256; domains = 1 });
+    ]
+
 let test_no_steal_means_none () =
   let r = Harness.run { small_params with Harness.steal = false } in
   Alcotest.(check int) "no steals when disabled" 0 r.Harness.result.Machine.steals;
@@ -358,6 +410,7 @@ let () =
           Alcotest.test_case "serves all requests" `Quick test_machine_completes;
           Alcotest.test_case "steal correctness" `Quick test_steal_correctness;
           Alcotest.test_case "no-steal runs clean" `Quick test_no_steal_means_none;
+          Alcotest.test_case "untraced streams empty" `Quick test_untraced_streams_empty;
           Alcotest.test_case "config validation" `Quick test_machine_validation;
         ] );
     ]
