@@ -136,6 +136,10 @@ let run_cmd =
   let run workload mechanism placement lanes ops seed policy interval json trace_out prom_out
       attribution no_verify =
     check_workload workload;
+    if lanes <= 0 then begin
+      Printf.eprintf "stallhide: --lanes must be positive (got %d)\n" lanes;
+      exit 2
+    end;
     if attribution && mechanism <> "pgo" then begin
       Printf.eprintf "stallhide: --attribution needs --mechanism pgo (got %s)\n" mechanism;
       exit 2
@@ -1067,6 +1071,10 @@ let cluster_cmd =
       output =
     if machines <= 0 then begin
       Printf.eprintf "stallhide: --machines must be positive (got %d)\n" machines;
+      exit 2
+    end;
+    if cores <= 0 then begin
+      Printf.eprintf "stallhide: --cores must be positive (got %d)\n" cores;
       exit 2
     end;
     let lb =

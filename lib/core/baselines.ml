@@ -29,10 +29,10 @@ let make_hier opts =
   opts.prepare_hier hier;
   hier
 
-(* The caller's hooks, plus telemetry when an [obs] stream is set. With
-   neither they stay [Events.nop], so [Engine.fast_engaged] holds; op
-   counts and latencies come from the engine's own accounting on either
-   path. *)
+(* The caller's hooks, plus telemetry when an [obs] stream is set. A
+   stream's hooks are closure-free, so [Engine.fast_engaged] holds unless
+   the caller passes closures; op counts and latencies come from the
+   engine's own accounting on either path. *)
 let engine_of opts =
   match opts.obs with
   | None -> opts.engine

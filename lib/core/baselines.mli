@@ -3,9 +3,10 @@
     Each runner builds a fresh cache hierarchy from [mem_cfg], executes
     the workload, and returns {!Metrics.t}. Op counts and op latencies
     come from the engine's own accounting ({!Latency.watch}), so unless
-    the caller sets [engine.hooks] or [obs] the run composes no hooks and
-    takes the decoded-µop fast path; with them it takes the reference
-    interpreter and returns the same metrics.
+    the caller sets closure [engine.hooks] the run takes the decoded-µop
+    fast path, [obs] stream or not (the engine writes a stream's events
+    itself); with closure hooks it takes the reference interpreter and
+    returns the same metrics.
 
     - {!run_sequential} — no hiding at all ("none"): every stall paid.
     - {!run_ooo} — sequential with an out-of-order overlap window

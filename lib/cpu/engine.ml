@@ -48,6 +48,31 @@ let operand_value (ctx : Context.t) = function
   | Instr.Reg r -> ctx.regs.{r}
   | Instr.Imm i -> i
 
+(* Write one event record into every log the hooks carry. *)
+let rec log_event logs kind ctx cycle pc a b c d =
+  match logs with
+  | [] -> ()
+  | l :: rest ->
+      Event_log.push l kind ctx cycle pc a b c d;
+      log_event rest kind ctx cycle pc a b c d
+
+(* [log_event] behind an inline test: most hooks carry no log. *)
+let[@inline] log cfg kind ctx cycle pc a b c d =
+  match cfg.hooks.logs with [] -> () | logs -> log_event logs kind ctx cycle pc a b c d
+
+(* The reference interpreter's event sites: the callback, then the logs. *)
+let[@inline] emit_load cfg id pc addr level stall queue cycle =
+  cfg.hooks.on_load { ctx = id; pc; addr; level; stall; queue; cycle };
+  log cfg Event_log.k_cache_access id cycle pc addr (Hierarchy.level_code level) stall queue
+
+let[@inline] emit_stall cfg id pc cycles cycle =
+  cfg.hooks.on_stall ~ctx:id ~pc ~cycles ~cycle;
+  log cfg Event_log.k_stall id cycle pc cycles 0 0 0
+
+let[@inline] emit_yield cfg id pc kind fired cycle =
+  cfg.hooks.on_yield ~ctx:id ~pc ~kind ~fired ~cycle;
+  log cfg Event_log.k_yield id cycle pc (Event_log.yield_code kind) (Bool.to_int fired) 0 0
+
 let eval_binop op a b =
   match op with
   | Instr.Add -> Some (a + b)
@@ -85,7 +110,8 @@ let step cfg hier mem ~clock (ctx : Context.t) =
     if fstall > 0 then begin
       clock := !clock + fstall;
       ctx.stall_cycles <- ctx.stall_cycles + fstall;
-      cfg.hooks.on_frontend_stall ~ctx:id ~pc ~cycles:fstall ~cycle:!clock
+      cfg.hooks.on_frontend_stall ~ctx:id ~pc ~cycles:fstall ~cycle:!clock;
+      log cfg Event_log.k_frontend_stall id !clock pc fstall 0 0 0
     end;
     let advance cost = clock := !clock + cost in
     let retire () = cfg.hooks.on_retire ~ctx:id ~pc ~instr:i ~cycle:!clock in
@@ -134,17 +160,14 @@ let step cfg hier mem ~clock (ctx : Context.t) =
               let issue_cost = cost - paid_stall in
               let data_at = !clock + cost in
               advance issue_cost;
-              cfg.hooks.on_load
-                { ctx = id; pc; addr; level; stall = paid_stall; queue; cycle = !clock };
+              emit_load cfg id pc addr level paid_stall queue !clock;
               retire ();
               Blocked_until data_at
           | Some _ | None ->
               advance cost;
               ctx.stall_cycles <- ctx.stall_cycles + paid_stall;
-              cfg.hooks.on_load
-                { ctx = id; pc; addr; level; stall = paid_stall; queue; cycle = !clock };
-              if paid_stall > 0 then
-                cfg.hooks.on_stall ~ctx:id ~pc ~cycles:paid_stall ~cycle:!clock;
+              emit_load cfg id pc addr level paid_stall queue !clock;
+              if paid_stall > 0 then emit_stall cfg id pc paid_stall !clock;
               retire ();
               Normal
         end
@@ -208,14 +231,14 @@ let step cfg hier mem ~clock (ctx : Context.t) =
     | Instr.Yield Instr.Primary ->
         ctx.yields <- ctx.yields + 1;
         next ();
-        cfg.hooks.on_yield ~ctx:id ~pc ~kind:Instr.Primary ~fired:true ~cycle:!clock;
+        emit_yield cfg id pc Instr.Primary true !clock;
         retire ();
         Stop (Yielded (Instr.Primary, pc))
     | Instr.Yield Instr.Scavenger ->
         if ctx.mode = Context.Scavenger then begin
           ctx.yields <- ctx.yields + 1;
           next ();
-          cfg.hooks.on_yield ~ctx:id ~pc ~kind:Instr.Scavenger ~fired:true ~cycle:!clock;
+          emit_yield cfg id pc Instr.Scavenger true !clock;
           retire ();
           Stop (Yielded (Instr.Scavenger, pc))
         end
@@ -224,7 +247,7 @@ let step cfg hier mem ~clock (ctx : Context.t) =
           ctx.cond_checks <- ctx.cond_checks + 1;
           advance cfg.cond_check_cost;
           next ();
-          cfg.hooks.on_yield ~ctx:id ~pc ~kind:Instr.Scavenger ~fired:false ~cycle:!clock;
+          emit_yield cfg id pc Instr.Scavenger false !clock;
           retire ();
           Normal
         end
@@ -241,7 +264,7 @@ let step cfg hier mem ~clock (ctx : Context.t) =
         in
         next ();
         if resident then begin
-          cfg.hooks.on_yield ~ctx:id ~pc ~kind:Instr.Primary ~fired:false ~cycle:!clock;
+          emit_yield cfg id pc Instr.Primary false !clock;
           retire ();
           Normal
         end
@@ -249,7 +272,7 @@ let step cfg hier mem ~clock (ctx : Context.t) =
           Hierarchy.prefetch hier ~now:!clock addr;
           advance (Hierarchy.config hier).prefetch_issue_cost;
           ctx.yields <- ctx.yields + 1;
-          cfg.hooks.on_yield ~ctx:id ~pc ~kind:Instr.Primary ~fired:true ~cycle:!clock;
+          emit_yield cfg id pc Instr.Primary true !clock;
           retire ();
           Stop (Yielded (Instr.Primary, pc))
         end
@@ -285,7 +308,7 @@ let step cfg hier mem ~clock (ctx : Context.t) =
           | Some _ | None ->
               advance (Cost.base i + paid);
               ctx.stall_cycles <- ctx.stall_cycles + paid;
-              if paid > 0 then cfg.hooks.on_stall ~ctx:id ~pc ~cycles:paid ~cycle:!clock;
+              if paid > 0 then emit_stall cfg id pc paid !clock;
               retire ();
               Normal
         end
@@ -305,6 +328,7 @@ let step cfg hier mem ~clock (ctx : Context.t) =
         next ();
         Context.opmark ctx ~cycle:!clock;
         cfg.hooks.on_opmark ~ctx:id ~pc ~cycle:!clock;
+        log cfg Event_log.k_op_retired id !clock pc 0 0 0 0;
         retire ();
         Normal
     | Instr.Nop ->
@@ -341,20 +365,46 @@ let run_reference cfg hier mem ~clock ~deadline (ctx : Context.t) =
   in
   loop ()
 
+(* The fast loop's load and accelerator-wait records, kept out of line
+   (as is everything the loop reads only to log). Level and queueing
+   delay are those of the access just made. A load or wait blocked by
+   [load_block_threshold] pays no [Stall], and a blocked load is logged
+   at its issue cycle, exactly as [step] reports them. *)
+let blocked cfg paid = match cfg.load_block_threshold with Some t -> paid > t | None -> false
+
+let log_load cfg hier id pc addr ~at paid =
+  let logs = cfg.hooks.logs in
+  let queued = Hierarchy.last_queued hier in
+  let queue = if queued < paid then queued else paid in
+  let level = Hierarchy.last_level hier in
+  if blocked cfg paid then
+    log_event logs Event_log.k_cache_access id (at - paid) pc addr level paid queue
+  else begin
+    log_event logs Event_log.k_cache_access id at pc addr level paid queue;
+    if paid > 0 then log_event logs Event_log.k_stall id at pc paid 0 0 0
+  end
+
+let log_accel_wait cfg id pc ~at paid =
+  if paid > 0 && not (blocked cfg paid) then
+    log_event cfg.hooks.logs Event_log.k_stall id at pc paid 0 0 0
+
 (* The fast path: one monolithic loop over the decoded micro-op arrays,
    no per-cycle heap allocation (no closures, no tuples, no hook
-   records). Engaged by [run] only when hooks are off ([Events.nop] by
-   physical equality) and no stall shape is armed, so nothing
-   observable differs from [run_reference]: the cycle accounting below
-   mirrors the reference instruction-for-instruction, op accounting
-   ([Context.opmark]) runs on both paths, and [test_engine_diff] holds
-   the two bit-identical.
+   records). Engaged by [run] only when the hooks are closure-free
+   ({!Events.closure_free}: nop callbacks, logs allowed) and no stall
+   shape is armed, so nothing observable differs from [run_reference]:
+   the cycle accounting below mirrors the reference
+   instruction-for-instruction, op accounting ([Context.opmark]) runs
+   on both paths, every event the reference writes into the hooks'
+   logs is written here with the same fields and cycle, and
+   [test_engine_diff] holds the two bit-identical.
 
-   [load_block_threshold] needs no special casing here: at run level a
-   [Blocked_until] is waited out immediately, which lands the same
-   clock and stall_cycles as the unblocked branch (issue cost + wait =
-   full cost, paid stall accounted either way) — the split only
-   matters to an SMT scheduler driving [step] itself. *)
+   [load_block_threshold] only changes where a blocked load or
+   accelerator wait is logged: at run level a [Blocked_until] is waited
+   out immediately, which lands the same clock and stall_cycles as the
+   unblocked branch (issue cost + wait = full cost, paid stall
+   accounted either way) — the split only matters to an SMT scheduler
+   driving [step] itself. *)
 let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
   let u = Uop.of_program ctx.program in
   let ops = u.Uop.op
@@ -371,6 +421,9 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
   let accel_latency = mcfg.Memconfig.accel_latency in
   let cond_cost = cfg.cond_check_cost in
   let ooo = cfg.ooo_window in
+  (* Records as [step] writes them (yields: [a] = 0 primary / 1
+     scavenger, [b] = 1 fired), behind one test per event site. *)
+  let logging = match cfg.hooks.logs with [] -> false | _ :: _ -> true in
   (* With the icache disabled (the default) [Hierarchy.fetch] always
      returns 0; hoisting the test saves a call per instruction. *)
   let fetch_on = match mcfg.Memconfig.icache with Some _ -> true | None -> false in
@@ -396,7 +449,12 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
       let now =
         if fetch_on then begin
           let fstall = Hierarchy.fetch hier ~now pc in
-          if fstall > 0 then ctx.stall_cycles <- ctx.stall_cycles + fstall;
+          if fstall > 0 then begin
+            ctx.stall_cycles <- ctx.stall_cycles + fstall;
+            if logging then
+              log_event cfg.hooks.logs Event_log.k_frontend_stall ctx.id (now + fstall) pc fstall
+                0 0 0
+          end;
           now + fstall
         end
         else now
@@ -470,7 +528,9 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
           Bigarray.Array1.unsafe_set regs (Array.unsafe_get ra pc)
             (Address_space.unsafe_load mem addr);
           ctx.stall_cycles <- ctx.stall_cycles + paid;
-          exec (now + Array.unsafe_get ucost pc + latency - hidden) (pc + 1)
+          let now = now + Array.unsafe_get ucost pc + latency - hidden in
+          if logging then log_load cfg hier ctx.id pc addr ~at:now paid;
+          exec now (pc + 1)
         end
       end
       else if op = Uop.op_store then begin
@@ -505,6 +565,7 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
         else exec (now + Array.unsafe_get ucost pc) (Context.pop_call ctx)
       end
       else if op = Uop.op_yield_primary then begin
+        if logging then log_event cfg.hooks.logs Event_log.k_yield ctx.id now pc 0 1 0 0;
         ctx.yields <- ctx.yields + 1;
         clock := now;
         ctx.pc <- pc + 1;
@@ -512,6 +573,7 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
       end
       else if op = Uop.op_yield_scavenger then begin
         if ctx.mode = Context.Scavenger then begin
+          if logging then log_event cfg.hooks.logs Event_log.k_yield ctx.id now pc 1 1 0 0;
           ctx.yields <- ctx.yields + 1;
           clock := now;
           ctx.pc <- pc + 1;
@@ -519,7 +581,9 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
         end
         else begin
           ctx.cond_checks <- ctx.cond_checks + 1;
-          exec (now + cond_cost) (pc + 1)
+          let now = now + cond_cost in
+          if logging then log_event cfg.hooks.logs Event_log.k_yield ctx.id now pc 1 0 0 0;
+          exec now (pc + 1)
         end
       end
       else if op = Uop.op_yield_cond then begin
@@ -532,10 +596,15 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
           let rcode = Hierarchy.resident_code hier ~now addr in
           rcode >= 0 && rcode <= 1
         in
-        if resident then exec now (pc + 1)
+        if resident then begin
+          if logging then log_event cfg.hooks.logs Event_log.k_yield ctx.id now pc 0 0 0 0;
+          exec now (pc + 1)
+        end
         else begin
           Hierarchy.prefetch hier ~now addr;
           ctx.yields <- ctx.yields + 1;
+          if logging then
+            log_event cfg.hooks.logs Event_log.k_yield ctx.id (now + pf_cost) pc 0 1 0 0;
           clock := now + pf_cost;
           ctx.pc <- pc + 1;
           Yielded (Instr.Primary, pc)
@@ -578,11 +647,14 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
           Bigarray.Array1.unsafe_set regs (Array.unsafe_get ra pc) ctx.accel_result;
           ctx.accel_done_at <- -1;
           ctx.stall_cycles <- ctx.stall_cycles + paid;
-          exec (now + Array.unsafe_get ucost pc + paid) (pc + 1)
+          let now = now + Array.unsafe_get ucost pc + paid in
+          if logging then log_accel_wait cfg ctx.id pc ~at:now paid;
+          exec now (pc + 1)
         end
       end
       else if op = Uop.op_opmark then begin
         Context.opmark ctx ~cycle:now;
+        if logging then log_event cfg.hooks.logs Event_log.k_op_retired ctx.id now pc 0 0 0 0;
         exec now (pc + 1)
       end
       else if op = Uop.op_nop then exec (now + Array.unsafe_get ucost pc) (pc + 1)
@@ -602,7 +674,8 @@ let run_fast cfg hier mem ~clock ~deadline (ctx : Context.t) =
   | Context.Ready -> exec !clock ctx.pc
 
 let fast_engaged cfg =
-  cfg.fast && cfg.hooks == Events.nop
+  cfg.fast
+  && (cfg.hooks == Events.nop || Events.closure_free cfg.hooks)
   && (match cfg.stall_shape with None -> true | Some _ -> false)
 
 let run cfg hier mem ~clock ?(deadline = max_int) (ctx : Context.t) =

@@ -1,8 +1,9 @@
 (** Cycle-level in-order execution engine.
 
     The engine interprets one context at a time against a shared clock,
-    memory image and cache hierarchy, firing {!Events} hooks as
-    instructions retire. Control returns to the caller (the scheduler)
+    memory image and cache hierarchy, firing {!Events} hooks and
+    writing its events into the hooks' {!Event_log}s as instructions
+    retire. Control returns to the caller (the scheduler)
     at yields, halts, faults, or when the clock reaches a deadline.
 
     Two knobs change the timing model without changing semantics:
@@ -32,14 +33,15 @@ type config = {
   fast : bool;
       (** default [true]. Allow {!run} to take the decoded-µop fast
           path — a zero-allocation-per-cycle loop over {!Uop} arrays —
-          whenever nothing observable is configured (hooks are
-          {!Events.nop} by physical equality and no [stall_shape] is
-          armed). Architectural results are bit-identical to the
-          reference interpreter ([test_engine_diff] is the gate). Op
-          accounting needs no hooks: both paths run
-          {!Context.opmark} on every retired [Opmark]. Set
-          [false] to force the reference path, e.g. as the baseline arm
-          of the C25 speed bench. *)
+          whenever the hooks are closure-free ({!Events.closure_free}:
+          no callback but {!Events.nop}'s; event logs allowed, so a
+          stream's hooks qualify) and no [stall_shape] is armed.
+          Architectural results, and the events written into the hooks'
+          {!Event_log}s, are bit-identical to the reference interpreter
+          ([test_engine_diff] is the gate). Op accounting needs no
+          hooks: both paths run {!Context.opmark} on every retired
+          [Opmark]. Set [false] to force the reference path, e.g. as the
+          baseline arm of the C25 speed bench. *)
 }
 
 val default_config : config

@@ -223,15 +223,11 @@ let run_rogue ~opts ~workload ~count ~compute fault =
   let { ops; seed; _ } = opts in
   let arm ~rogue ~watchdog =
     let w = make ~workload ~lanes ~ops ~manual:true ~seed ~ws_scale:1 () in
-    let recorder = Latency.recorder () in
     let stream = Obs.Stream.create () in
-    let engine =
-      {
-        Engine.default_config with
-        Engine.hooks = Events.compose [ Latency.hooks recorder; Obs.Stream.hooks stream ];
-      }
-    in
+    (* closure-free hooks: the arms run on the fast loop *)
+    let engine = { Engine.default_config with Engine.hooks = Obs.Stream.hooks stream } in
     let primary = Workload.context w ~lane:0 ~id:0 ~mode:Context.Primary in
+    let log = Latency.watch [| primary |] in
     let legit =
       Array.init (lanes - 1) (fun i ->
           Workload.context w ~lane:(i + 1) ~id:(i + 1) ~mode:Context.Scavenger)
@@ -251,7 +247,7 @@ let run_rogue ~opts ~workload ~count ~compute fault =
         (Hierarchy.create Memconfig.default)
         w.Workload.image ~primary ~scavengers:(Array.append legit rogues)
     in
-    let latency = Latency.summary (Latency.of_ctx recorder 0) in
+    let latency = Latency.summary (Latency.of_ctx (Latency.of_log log) 0) in
     (r, latency, primary)
   in
   (* the hidden-cycles reference: the stall the primary pays alone *)

@@ -1,13 +1,26 @@
-(** The trace-event stream: a bounded in-memory buffer of {!Event.t}
-    plus a {!Registry.t} maintained incrementally as events arrive.
+(** The trace-event stream: a bounded log of {!Event.t} plus a
+    {!Registry.t} of counts over them.
+
+    Events live in an engine-format {!Stallhide_cpu.Event_log} (fixed
+    stride int records in fixed-size chunks). The engine writes its
+    load, stall, front-end stall, opmark and yield events there itself,
+    through {!hooks}, on the decoded-µop fast path too; {!record}
+    encodes scheduler and machine events into the same log (span names
+    are interned). {!events} and {!iter} decode records back into
+    {!Event.t}, in recording order.
+
+    The registry is counted lazily: {!registry} first counts the
+    events recorded since the last read. Once the log is full, later
+    events are counted in {!dropped} rather than kept, and each is
+    counted into the registry as it arrives, after the retained ones,
+    so the registry always counts every event — only the raw event log
+    is bounded.
 
     Zero-cost discipline: nothing in the simulator ever *requires* a
     stream. Engine hooks default to no-ops, schedulers take
     [?obs:Stream.t option] defaulting to [None], and no hook ever
     touches the simulated clock — so cycle counts are identical with
-    telemetry on or off (asserted by the obs tests). When the buffer
-    fills, later events are counted in {!dropped} rather than recorded
-    (the registry keeps counting — only the raw event log is bounded). *)
+    telemetry on or off (asserted by the obs tests). *)
 
 type t
 
@@ -28,11 +41,15 @@ val dropped : t -> int
 val reset : t -> unit
 
 (** The registry fed by this stream (yield fired/skipped and load-level
-    counters; stall, switch-cost and dispatch-length histograms). *)
+    counters; stall, switch-cost and dispatch-length histograms), with
+    every event recorded so far counted. Read it again after recording
+    more: counting happens on this call. *)
 val registry : t -> Registry.t
 
-(** Engine hooks that feed the stream: loads, stalls, yields, opmarks.
-    Compose into [Engine.config.hooks]. *)
+(** Engine hooks that feed the stream: loads, stalls, front-end stalls,
+    yields, opmarks. Closure-free ({!Stallhide_cpu.Events.of_log} on
+    the stream's log), so the engine's fast path stays engaged. Compose
+    into [Engine.config.hooks]. *)
 val hooks : t -> Stallhide_cpu.Events.t
 
 (** {2 Derived views used by attribution and exporters} *)

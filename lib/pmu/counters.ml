@@ -58,6 +58,7 @@ let hooks t =
       (fun ~ctx:_ ~pc:_ ~kind:_ ~fired ~cycle:_ ->
         if fired then t.yields_fired <- t.yields_fired + 1
         else t.yields_skipped <- t.yields_skipped + 1);
+    logs = [];
   }
 
 let reset t =

@@ -70,8 +70,8 @@ type params = {
       (** forwarded to {!Machine.config.sync} (default [Interleaved]) *)
   trace : bool;
       (** forwarded to {!Machine.config.trace} (default [true]);
-          [false] drops per-instruction event streams so the decoded-µop
-          fast path engages *)
+          [false] drops the per-core event streams. The decoded-µop
+          fast path engages either way. *)
   engine_fast : bool;
       (** {!Stallhide_cpu.Engine.config.fast} on every core (default
           [true]); [false] pins the reference interpreter — the

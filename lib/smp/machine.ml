@@ -118,9 +118,10 @@ module Live = struct
           config.prepare_core i hier;
           (* [trace = false] keeps the engine hooks exactly as given
              (normally [Events.nop]) and records nothing into the
-             streams — no dispatch, span or steal events — so
-             {!Engine.fast_engaged} can hold and the decoded µop loop
-             carries the whole window. *)
+             streams — no dispatch, span or steal events. Traced, the
+             stream's hooks are closure-free, so {!Engine.fast_engaged}
+             holds either way and the decoded µop loop carries the whole
+             window. *)
           let engine =
             if not config.trace then config.core.Core_sched.engine
             else

@@ -56,10 +56,10 @@ type config = {
   sync : sync;  (** default [Interleaved] *)
   trace : bool;
       (** default [true]: compose each core's event stream into the
-          engine hooks and record per-slice dispatch events. [false]
-          leaves the engine hooks untouched (normally {!Events.nop}) so
-          the decoded-µop fast path engages, and records nothing into
-          the per-core event streams, which stay empty. *)
+          engine hooks (closure-free, so the decoded-µop fast path still
+          engages) and record per-slice dispatch, span and steal events.
+          [false] leaves the engine hooks untouched and records nothing
+          into the per-core event streams, which stay empty. *)
 }
 
 (** 4 cores, default memory geometry, window 32 / budget 16,

@@ -384,6 +384,7 @@ let test_hooks () =
       on_frontend_stall = (fun ~ctx:_ ~pc:_ ~cycles:_ ~cycle:_ -> ());
       on_opmark = (fun ~ctx:_ ~pc:_ ~cycle:_ -> incr marks);
       on_yield = (fun ~ctx:_ ~pc:_ ~kind:_ ~fired:_ ~cycle:_ -> ());
+      logs = [];
     }
   in
   let engine = { Engine.default_config with Engine.hooks } in

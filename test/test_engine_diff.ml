@@ -4,18 +4,26 @@
    counts — on every workload, on hundreds of generated programs, and
    through the whole SMP harness in every placement mode — and each
    context's op count and op-latency samples, which the engine records
-   itself on both paths by the rule of the Latency hooks. The
-   zero-allocation regression keeps the fast path actually fast: its
-   per-simulated-cycle minor-heap delta must be zero (only a small
-   per-[Engine.run]-call constant is allowed, for the returned [stop]
-   value). *)
+   itself on both paths by the rule of the Latency hooks — and every
+   event the engine writes into a stream's log, scheduler events
+   interleaved, against a closure-hook oracle that records the same
+   events through [Stream.record].
+   The zero-allocation regression keeps the fast path actually fast,
+   traced or not: its per-simulated-cycle minor-heap delta must be zero
+   (only a small per-[Engine.run]-call constant is allowed, for the
+   returned [stop] value). *)
 
 open Stallhide_mem
 open Stallhide_cpu
 open Stallhide_runtime
 open Stallhide_workloads
 open Stallhide_check
+open Stallhide_binopt
+module Pipeline = Stallhide.Pipeline
 module Harness = Stallhide_smp.Harness
+module Stream = Stallhide_obs.Stream
+module Event = Stallhide_obs.Event
+module Registry = Stallhide_obs.Registry
 
 let memcfg = Memconfig.default
 
@@ -129,17 +137,200 @@ let test_gen_programs_diff () =
   done
 
 let test_fast_engaged_sanity () =
+  let with_hooks hooks = Engine.fast_engaged { fast_engine with Engine.hooks } in
+  let s = Stream.create () in
   Alcotest.(check bool) "default engages" true (Engine.fast_engaged fast_engine);
   Alcotest.(check bool) "fast=false disengages" false (Engine.fast_engaged ref_engine);
-  Alcotest.(check bool) "hooks disengage" false
-    (Engine.fast_engaged
-       {
-         fast_engine with
-         Engine.hooks = Stallhide_obs.Stream.hooks (Stallhide_obs.Stream.create ());
-       });
+  Alcotest.(check bool) "stream hooks engage" true (with_hooks (Stream.hooks s));
+  Alcotest.(check bool) "Latency hooks disengage" false
+    (with_hooks (Latency.hooks (Latency.recorder ())));
+  Alcotest.(check bool) "Counters hooks disengage" false
+    (with_hooks (Stallhide_pmu.Counters.hooks (Stallhide_pmu.Counters.create ())));
+  Alcotest.(check bool) "compose [nop; stream hooks] engages" true
+    (with_hooks (Events.compose [ Events.nop; Stream.hooks s ]));
   Alcotest.(check bool) "stall_shape disengages" false
     (Engine.fast_engaged
        { fast_engine with Engine.stall_shape = Some (fun ~pc:_ ~stall -> stall) })
+
+(* --- traced differential ---
+
+   The oracle for the engine-written event log: closure hooks that feed
+   the stream through [Stream.record] as each engine event fires, the
+   plain callback reading of [Stream.hooks]. Being closures, they run on
+   the reference interpreter only. *)
+let closure_hooks s =
+  let record = Stream.record s in
+  {
+    Events.nop with
+    Events.on_load =
+      (fun (i : Events.load_info) ->
+        record
+          (Event.Cache_access
+             {
+               ctx = i.Events.ctx;
+               pc = i.Events.pc;
+               addr = i.Events.addr;
+               level = i.Events.level;
+               stall = i.Events.stall;
+               queue = i.Events.queue;
+               cycle = i.Events.cycle;
+             }));
+    on_stall = (fun ~ctx ~pc ~cycles ~cycle -> record (Event.Stall { ctx; pc; cycles; cycle }));
+    on_frontend_stall =
+      (fun ~ctx ~pc ~cycles ~cycle -> record (Event.Frontend_stall { ctx; pc; cycles; cycle }));
+    on_opmark = (fun ~ctx ~pc ~cycle -> record (Event.Op_retired { ctx; pc; cycle }));
+    on_yield =
+      (fun ~ctx ~pc ~kind ~fired ~cycle -> record (Event.Yield { ctx; pc; kind; fired; cycle }));
+  }
+
+(* Round-robin with the stream as [obs] too, so dispatch and switch
+   events interleave with the engine's. Every other context runs in
+   scavenger mode, so scavenger yields both fire and fall through. *)
+let traced_arm ?(mem = memcfg) engine ~hooks ~capacity (w : Workload.t) =
+  let s = Stream.create ~capacity () in
+  let ctxs = Workload.contexts w in
+  Array.iteri
+    (fun i (c : Context.t) -> if i mod 2 = 1 then c.Context.mode <- Context.Scavenger)
+    ctxs;
+  let r =
+    Scheduler.run_round_robin
+      ~engine:{ engine with Engine.hooks = hooks s }
+      ~obs:s ~switch:Switch_cost.coroutine (Hierarchy.create mem) w.Workload.image ctxs
+  in
+  (s, r)
+
+let registry_json s = Stallhide_util.Json.to_string (Registry.to_json (Stream.registry s))
+
+let check_events label expected actual =
+  let rec first i = function
+    | a :: ra, b :: rb -> if a = b then first (i + 1) (ra, rb) else Some (i, Some a, Some b)
+    | [], [] -> None
+    | a :: _, [] -> Some (i, Some a, None)
+    | [], b :: _ -> Some (i, None, Some b)
+  in
+  match first 0 (expected, actual) with
+  | None -> ()
+  | Some (i, a, b) ->
+      let pp = function Some e -> Format.asprintf "%a" Event.pp e | None -> "<none>" in
+      Alcotest.failf "%s: event %d differs: expected %s, got %s" label i (pp a) (pp b)
+
+let check_streams label (expected : Stream.t) (actual : Stream.t) =
+  Alcotest.(check int) (label ^ ": dropped") (Stream.dropped expected) (Stream.dropped actual);
+  check_events label (Stream.events expected) (Stream.events actual);
+  Alcotest.(check string) (label ^ ": registry") (registry_json expected) (registry_json actual)
+
+let default_capacity = 1 lsl 18
+
+(* Oracle vs the engine-written log on both paths, at [capacity]; a
+   capped run must also count every event a full-size run counts.
+   [tweak] sets the timing knobs both engines share. Returns whether the
+   oracle overflowed. *)
+let diff_traced ?mem ?(tweak = Fun.id) label ~make ~capacity =
+  let fast_engine = tweak fast_engine and ref_engine = tweak ref_engine in
+  let so, ro = traced_arm ?mem ref_engine ~hooks:closure_hooks ~capacity (make ()) in
+  let sf, rf = traced_arm ?mem fast_engine ~hooks:Stream.hooks ~capacity (make ()) in
+  let sr, rr = traced_arm ?mem ref_engine ~hooks:Stream.hooks ~capacity (make ()) in
+  List.iter
+    (fun (arm, (r : Scheduler.result)) ->
+      Alcotest.(check int) (label ^ arm ^ ": cycles") ro.Scheduler.cycles r.Scheduler.cycles)
+    [ (" fast", rf); (" reference", rr) ];
+  check_streams (label ^ " fast") so sf;
+  check_streams (label ^ " reference") so sr;
+  let overflowed = Stream.dropped so > 0 in
+  if overflowed then begin
+    let full, _ =
+      traced_arm ?mem fast_engine ~hooks:Stream.hooks ~capacity:default_capacity (make ())
+    in
+    Alcotest.(check int)
+      (label ^ ": retained + dropped")
+      (Stream.length full + Stream.dropped full)
+      (Stream.length sf + Stream.dropped sf);
+    Alcotest.(check string) (label ^ ": capped registry") (registry_json full) (registry_json sf);
+    check_events (label ^ ": capped prefix")
+      (List.filteri (fun i _ -> i < capacity) (Stream.events full))
+      (Stream.events sf)
+  end;
+  overflowed
+
+let test_traced_workloads_diff () =
+  let overflows = ref 0 in
+  let case label make =
+    List.iter
+      (fun capacity ->
+        if diff_traced (Printf.sprintf "%s/cap %d" label capacity) ~make ~capacity then
+          incr overflows)
+      [ default_capacity; 500 ]
+  in
+  List.iter (fun (name, make) -> case name (fun () -> make 42)) makers;
+  (* OoO overlap plus a load-block threshold that some stalls pass: a
+     blocked load or accelerator wait is logged at its issue cycle,
+     with no Stall *)
+  List.iter
+    (fun (name, make) ->
+      ignore
+        (diff_traced (name ^ "/ooo+block")
+           ~tweak:(fun e ->
+             { e with Engine.ooo_window = 16; load_block_threshold = Some 40 })
+           ~make:(fun () -> make 42)
+           ~capacity:default_capacity))
+    makers;
+  (* instrumented programs: a conditional yield at every load (resident
+     or not) under an icache (front-end stalls), and scavenger yields
+     alone *)
+  let icache =
+    { memcfg with Memconfig.icache = Some { Memconfig.size_bytes = 2048; ways = 4; latency = 14 } }
+  in
+  let variants =
+    [
+      ( "cond+icache",
+        Some icache,
+        { Primary_pass.default_opts with policy = Gain_cost.Always; conditional = true },
+        None );
+      ( "scav",
+        None,
+        { Primary_pass.default_opts with policy = Gain_cost.Threshold 2.0 },
+        Some 20 );
+    ]
+  in
+  List.iter
+    (fun (name, make) ->
+      let w = make 42 in
+      let profiled = Pipeline.profile w in
+      List.iter
+        (fun (variant, mem, primary, scavenger_interval) ->
+          let prog =
+            (snd (Pipeline.instrument ~primary ?scavenger_interval profiled w)).Pipeline.program
+          in
+          ignore
+            (diff_traced (name ^ "/" ^ variant) ?mem
+               ~make:(fun () -> Workload.with_program (make 42) prog)
+               ~capacity:default_capacity))
+        variants)
+    makers;
+  List.iter
+    (fun (name, mk) -> case (name ^ "/manual") mk)
+    [
+      ("pointer-chase", fun () -> Pointer_chase.make ~manual:true ~seed:42 ());
+      ("hash-probe", fun () -> Hash_probe.make ~manual:true ~seed:42 ());
+      ("group-by", fun () -> Group_by.make ~manual:true ~seed:42 ());
+      ("kv-server", fun () -> Kv_server.make ~manual:true ~seed:42 ());
+      ("offload", fun () -> Offload.make ~manual:true ~seed:42 ());
+    ];
+  Alcotest.(check bool) "some capped runs overflowed" true (!overflows > 0)
+
+let test_traced_gen_programs_diff () =
+  let overflows = ref 0 in
+  for seed = 0 to 499 do
+    let case = Gen.case ~seed () in
+    let capacity = if seed mod 4 = 0 then 64 else default_capacity in
+    if
+      diff_traced
+        (Printf.sprintf "gen seed %d/cap %d" seed capacity)
+        ~make:(fun () -> Gen.workload ~prog:case.Gen.program case.Gen.cfg)
+        ~capacity
+    then incr overflows
+  done;
+  Alcotest.(check bool) "some capped runs overflowed" true (!overflows > 0)
 
 (* --- whole-machine differential: the SMP harness in every placement
    mode, fast (trace off) vs reference (trace on). The trace flag only
@@ -218,11 +409,18 @@ let test_harness_placements_diff () =
    Drive >= 10k simulated cycles of every workload through the engaged
    fast path with a pre-warmed µop cache and assert the minor-heap
    delta is bounded by a small constant per [Engine.run] call (the
-   returned [stop] value) — i.e. zero words per simulated cycle. *)
+   returned [stop] value) — i.e. zero words per simulated cycle. The
+   traced run writes every engine event into a stream's log on the way
+   and is held to the same allowance. *)
 
 let test_zero_alloc () =
   List.iter
-    (fun (name, make) ->
+    (fun ((name, make), traced) ->
+      let fast_engine =
+        if traced then { fast_engine with Engine.hooks = Stream.hooks (Stream.create ()) }
+        else fast_engine
+      in
+      let name = if traced then name ^ " (traced)" else name in
       let w = make 7 in
       let hier = Hierarchy.create memcfg in
       let ctxs = Workload.contexts w in
@@ -252,7 +450,7 @@ let test_zero_alloc () =
       if words > allowance then
         Alcotest.failf "%s: fast path allocated %.0f minor words over %d cycles (%d calls)"
           name words (!clock) !calls)
-    makers
+    (List.concat_map (fun m -> [ (m, false); (m, true) ]) makers)
 
 let () =
   Alcotest.run "engine-diff"
@@ -262,6 +460,12 @@ let () =
           Alcotest.test_case "fast_engaged gating" `Quick test_fast_engaged_sanity;
           Alcotest.test_case "nine workloads (+manual variants)" `Quick test_workloads_diff;
           Alcotest.test_case "500 generated programs" `Slow test_gen_programs_diff;
+        ] );
+      ( "traced",
+        [
+          Alcotest.test_case "nine workloads (+manual variants)" `Quick
+            test_traced_workloads_diff;
+          Alcotest.test_case "500 generated programs" `Slow test_traced_gen_programs_diff;
         ] );
       ( "whole-machine",
         [

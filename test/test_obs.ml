@@ -136,6 +136,59 @@ let test_stream_drop_accounting () =
   Obs.Stream.reset s;
   Alcotest.(check int) "reset clears" 0 (Obs.Stream.length s + Obs.Stream.dropped s)
 
+(* One event of every kind, engine and scheduler alike. *)
+let every_kind =
+  let open Obs.Event in
+  [
+    Yield { ctx = 1; pc = 3; kind = Stallhide_isa.Instr.Scavenger; fired = false; cycle = 5 };
+    Cache_access
+      { ctx = 1; pc = 4; addr = 4096; level = Hierarchy.L3; stall = 30; queue = 7; cycle = 40 };
+    Stall { ctx = 1; pc = 4; cycles = 30; cycle = 40 };
+    Frontend_stall { ctx = 2; pc = 0; cycles = 9; cycle = 50 };
+    Op_retired { ctx = 2; pc = 8; cycle = 51 };
+    Context_switch { from_ctx = 2; to_ctx = -1; at_pc = 6; cost = 12; cycle = 60 };
+    Scavenger_escalation { ctx = 3; pc = 2; cycle = 70 };
+    Watchdog { ctx = 3; action = Quarantine; cycle = 80 };
+    Dispatch { ctx = 3; start = 70; stop = 90 };
+    Span_open { ctx = 4; name = "request"; cycle = 91 };
+    Span_close { ctx = 4; name = "request"; cycle = 99 };
+    Span_open { ctx = 5; name = "batch"; cycle = 100 };
+    Steal { ctx = 6; from_core = 0; to_core = 2; cycle = 101 };
+  ]
+
+let test_stream_roundtrip () =
+  let s = Obs.Stream.create () in
+  List.iter (Obs.Stream.record s) every_kind;
+  Alcotest.(check bool) "events decode as recorded" true (Obs.Stream.events s = every_kind);
+  let seen = ref [] in
+  Obs.Stream.iter (fun e -> seen := e :: !seen) s;
+  Alcotest.(check bool) "iter agrees" true (List.rev !seen = every_kind)
+
+(* Counting is lazy, but where the registry is read makes no difference:
+   read after every event, or once at the end, past the capacity or
+   not. *)
+let test_registry_lazy () =
+  let events = List.concat (List.init 5 (fun _ -> every_kind)) in
+  let json s = Json.to_string (Obs.Registry.to_json (Obs.Stream.registry s)) in
+  let at_end = Obs.Stream.create () in
+  List.iter (Obs.Stream.record at_end) events;
+  let each = Obs.Stream.create () in
+  List.iter
+    (fun e ->
+      Obs.Stream.record each e;
+      ignore (Obs.Stream.registry each))
+    events;
+  let capped = Obs.Stream.create ~capacity:7 () in
+  List.iteri
+    (fun i e ->
+      Obs.Stream.record capped e;
+      if i = 3 then ignore (Obs.Stream.registry capped))
+    events;
+  Alcotest.(check string) "read after every event" (json at_end) (json each);
+  Alcotest.(check string) "capped" (json at_end) (json capped);
+  Alcotest.(check int) "capped drops" (List.length events - 7) (Obs.Stream.dropped capped);
+  Alcotest.(check int) "ops counted" 5 (Obs.Registry.total (Obs.Stream.registry capped) "ops")
+
 (* --- Golden-file regression for the Perfetto exporter ---
 
    A hand-authored stream covering every branch of the event mapping
@@ -402,7 +455,12 @@ let () =
       ("perfetto", [ Alcotest.test_case "round-trip + monotone" `Quick test_trace_json_roundtrip ]);
       ("golden", [ Alcotest.test_case "perfetto exporter" `Quick test_perfetto_golden ]);
       ("attribution", [ Alcotest.test_case "invariants" `Quick test_attribution_invariants ]);
-      ("stream", [ Alcotest.test_case "drop accounting" `Quick test_stream_drop_accounting ]);
+      ( "stream",
+        [
+          Alcotest.test_case "drop accounting" `Quick test_stream_drop_accounting;
+          Alcotest.test_case "every kind round-trips" `Quick test_stream_roundtrip;
+          Alcotest.test_case "lazy registry" `Quick test_registry_lazy;
+        ] );
       ("prometheus", [ Alcotest.test_case "text exposition round-trip" `Quick test_prometheus_roundtrip ]);
       ("spans", [ Alcotest.test_case "pairing + nesting" `Quick test_span_pairing ]);
       ( "causal-drivers",

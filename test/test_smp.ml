@@ -358,6 +358,43 @@ let test_untraced_streams_empty () =
       ("barrier", Machine.Barrier { window = 256; domains = 1 });
     ]
 
+(* A traced machine runs its engines on the fast loop, which writes the
+   same events into each core's stream as the reference interpreter,
+   and tracing changes no result. *)
+let test_traced_engine_paths () =
+  let fast = Harness.run { small_params with Harness.engine_fast = true } in
+  let reference = Harness.run { small_params with Harness.engine_fast = false } in
+  let untraced = Harness.run { small_params with Harness.trace = false } in
+  let sojourns (r : Harness.run) =
+    Array.map
+      (fun (c : Machine.core_result) -> c.Machine.sojourns)
+      r.Harness.result.Machine.per_core
+  in
+  List.iter
+    (fun (arm, r) ->
+      Alcotest.(check bool) (arm ^ ": same run as untraced") true
+        (fingerprint r = fingerprint untraced);
+      Alcotest.(check bool) (arm ^ ": same sojourns as untraced") true
+        (sojourns r = sojourns untraced))
+    [ ("fast", fast); ("reference", reference) ];
+  let registry s =
+    Stallhide_util.Json.to_string
+      (Stallhide_obs.Registry.to_json (Stallhide_obs.Stream.registry s))
+  in
+  Array.iter2
+    (fun (cf : Machine.core_result) (cr : Machine.core_result) ->
+      let p = Printf.sprintf "core %d " cf.Machine.core_id in
+      let ef = Stallhide_obs.Stream.events cf.Machine.stream in
+      Alcotest.(check bool) (p ^ "recorded engine events") true
+        (List.exists
+           (function Stallhide_obs.Event.Cache_access _ -> true | _ -> false)
+           ef);
+      Alcotest.(check bool) (p ^ "events fast = reference") true
+        (ef = Stallhide_obs.Stream.events cr.Machine.stream);
+      Alcotest.(check string) (p ^ "registry fast = reference")
+        (registry cr.Machine.stream) (registry cf.Machine.stream))
+    fast.Harness.result.Machine.per_core reference.Harness.result.Machine.per_core
+
 let test_no_steal_means_none () =
   let r = Harness.run { small_params with Harness.steal = false } in
   Alcotest.(check int) "no steals when disabled" 0 r.Harness.result.Machine.steals;
@@ -411,6 +448,7 @@ let () =
           Alcotest.test_case "steal correctness" `Quick test_steal_correctness;
           Alcotest.test_case "no-steal runs clean" `Quick test_no_steal_means_none;
           Alcotest.test_case "untraced streams empty" `Quick test_untraced_streams_empty;
+          Alcotest.test_case "traced fast = reference" `Quick test_traced_engine_paths;
           Alcotest.test_case "config validation" `Quick test_machine_validation;
         ] );
     ]
