@@ -865,6 +865,11 @@ let smp_cmd =
       Printf.eprintf "stallhide: --cores must be positive (got %d)\n" cores;
       exit 2
     end;
+    if requests_per_core <= 0 then begin
+      Printf.eprintf "stallhide: --requests-per-core must be positive (got %d)\n"
+        requests_per_core;
+      exit 2
+    end;
     let policy =
       match Stallhide_sched.Dispatch.policy_of_string policy with
       | Some p -> p
@@ -1075,6 +1080,10 @@ let cluster_cmd =
     end;
     if cores <= 0 then begin
       Printf.eprintf "stallhide: --cores must be positive (got %d)\n" cores;
+      exit 2
+    end;
+    if requests <= 0 then begin
+      Printf.eprintf "stallhide: --requests must be positive (got %d)\n" requests;
       exit 2
     end;
     let lb =

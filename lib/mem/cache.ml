@@ -137,14 +137,6 @@ let invalidate t addr =
     true
   end
 
-let copy_state ~src ~dst =
-  if src.sets <> dst.sets || src.ways <> dst.ways || src.line_shift <> dst.line_shift then
-    invalid_arg "Cache.copy_state: geometry mismatch";
-  Bigarray.Array1.blit src.tags dst.tags;
-  Bigarray.Array1.blit src.ready dst.ready;
-  Bigarray.Array1.blit src.stamp dst.stamp;
-  dst.tick <- src.tick
-
 let hits t = t.hit_count
 
 let misses t = t.miss_count

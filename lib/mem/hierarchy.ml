@@ -22,7 +22,6 @@ type spike = { from_cycle : int; until_cycle : int; l3_mult : int; dram_mult : i
 type port =
   | Private
   | Direct of Shared_l3.t * int  (* (port, this core's id) *)
-  | Windowed of Shared_l3.wport
 
 type t = {
   cfg : Memconfig.t;
@@ -70,7 +69,7 @@ let create cfg =
     ~l3:(Cache.create ~name:"L3" ~line_bytes:cfg.line_bytes cfg.l3)
     ~port:Private
 
-let attach_core cfg ~shared =
+let create_core cfg ~shared =
   Memconfig.validate cfg;
   let l1 = Cache.create ~name:"L1" ~line_bytes:cfg.Memconfig.line_bytes cfg.Memconfig.l1 in
   let l2 = Cache.create ~name:"L2" ~line_bytes:cfg.Memconfig.line_bytes cfg.Memconfig.l2 in
@@ -80,24 +79,13 @@ let attach_core cfg ~shared =
     k1 + k2
   in
   let core = Shared_l3.attach shared ~invalidate in
-  (l1, l2, core)
-
-let create_core cfg ~shared =
-  let l1, l2, core = attach_core cfg ~shared in
   make cfg ~l1 ~l2 ~l3:(Shared_l3.cache shared) ~port:(Direct (shared, core))
-
-let create_core_windowed cfg ~shared =
-  let l1, l2, core = attach_core cfg ~shared in
-  let wport = Shared_l3.open_wport shared ~core in
-  make cfg ~l1 ~l2 ~l3:(Shared_l3.wport_cache wport) ~port:(Windowed wport)
 
 let config t = t.cfg
 
-let core_id t = match t.port with Direct (_, c) -> Some c | Private | Windowed _ -> None
+let core_id t = match t.port with Direct (_, c) -> Some c | Private -> None
 
-let shared_port t = match t.port with Direct (p, _) -> Some p | Private | Windowed _ -> None
-
-let wport t = match t.port with Windowed w -> Some w | Private | Direct _ -> None
+let shared_port t = match t.port with Direct (p, _) -> Some p | Private -> None
 
 let inject_spike t ~from_cycle ~until_cycle ~l3_mult ~dram_mult =
   if from_cycle < 0 || until_cycle < from_cycle then
@@ -142,13 +130,6 @@ let dram_latency t ~now =
   | Some s when now >= s.from_cycle && now < s.until_cycle -> t.cfg.dram_latency * s.dram_mult
   | _ -> t.cfg.dram_latency
 
-let l3_lookup_code t ~now addr =
-  let c = Cache.lookup_code t.l3 ~now addr in
-  (match t.port with
-  | Windowed w -> Shared_l3.wport_log_lookup w ~now ~addr
-  | Private | Direct _ -> ());
-  c
-
 (* Classify an access without filling: serving level, total latency, and
    whether the wait came from an in-flight fill — written into the
    [p_*] scratch fields so the hot path allocates nothing. *)
@@ -167,7 +148,7 @@ let probe_into t ~now addr =
       t.p_inflight <- c2 > 0
     end
     else
-      let c3 = l3_lookup_code t ~now addr in
+      let c3 = Cache.lookup_code t.l3 ~now addr in
       if c3 >= 0 then begin
         t.p_level <- code_l3;
         t.p_latency <- (if c3 = 0 then l3_latency t ~now else max t.cfg.l3.latency (c3 - now));
@@ -179,17 +160,11 @@ let probe_into t ~now addr =
         t.p_inflight <- false
       end
 
-let l3_insert t ~now ~ready_at addr =
-  Cache.insert t.l3 ~now ~ready_at addr;
-  match t.port with
-  | Windowed w -> Shared_l3.wport_log_insert w ~now ~ready_at ~addr
-  | Private | Direct _ -> ()
-
 (* Fill all levels above the serving one. *)
 let fill t ~ready_at ~now lcode addr =
   if lcode >= code_l2 then Cache.insert t.l1 ~now ~ready_at addr;
   if lcode >= code_l3 then Cache.insert t.l2 ~now ~ready_at addr;
-  if lcode >= code_dram then l3_insert t ~now ~ready_at addr
+  if lcode >= code_dram then Cache.insert t.l3 ~now ~ready_at addr
 
 (* Port admission on the shared L3: a fresh below-L2 service consumes
    one slot of the machine-wide window budget and may be queued into a
@@ -199,7 +174,6 @@ let admission t ~now lcode ~inflight =
   else
     match t.port with
     | Direct (port, _) -> Shared_l3.admit port ~now
-    | Windowed w -> Shared_l3.wport_admit w ~now
     | Private -> 0
 
 (* Alloc-free demand load: returns the total load-to-use latency and
@@ -257,7 +231,6 @@ let prefetch t ~now addr =
 let write t ~now:_ addr =
   match t.port with
   | Direct (port, core) -> Shared_l3.write port ~core ~addr
-  | Windowed w -> Shared_l3.wport_write w ~addr
   | Private -> ()
 
 (* Alloc-free deepest-cached test: level code, or -1 when absent. *)

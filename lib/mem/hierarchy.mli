@@ -46,17 +46,6 @@ val create : Memconfig.t -> t
     lines. Per-core [Mem_stats] stay private. *)
 val create_core : Memconfig.t -> shared:Shared_l3.t -> t
 
-(** Like {!create_core}, but the L3 level aliases this core's private
-    {e replica} of the shared cache behind a {!Shared_l3.wport}: L3
-    lookups/fills/stores are logged for barrier replay and admission
-    draws on the core's static budget share. Used by the
-    barrier-parallel SMP mode so OCaml [Domain]s never share mutable
-    cache state inside a window. *)
-val create_core_windowed : Memconfig.t -> shared:Shared_l3.t -> t
-
-(** The windowed port of a {!create_core_windowed} hierarchy. *)
-val wport : t -> Shared_l3.wport option
-
 val config : t -> Memconfig.t
 
 (** This hierarchy's core id on its shared port; [None] for the

@@ -1,5 +1,3 @@
-open Stallhide_util
-
 type stats = {
   mutable admitted : int;
   mutable queued : int;
@@ -10,7 +8,6 @@ type stats = {
 
 type t = {
   l3 : Cache.t;
-  cfg : Memconfig.t;
   win : int;
   bud : int;  (* <= 0 = unlimited *)
   used : (int, int) Hashtbl.t;  (* window index -> services admitted *)
@@ -23,7 +20,6 @@ let create ?(window = 32) ?(budget = 16) (cfg : Memconfig.t) =
   Memconfig.validate cfg;
   {
     l3 = Cache.create ~name:"L3" ~line_bytes:cfg.line_bytes cfg.l3;
-    cfg;
     win = window;
     bud = budget;
     used = Hashtbl.create 256;
@@ -75,125 +71,6 @@ let write t ~core ~addr =
     (fun i inv ->
       if i <> core then t.stats.invalidations <- t.stats.invalidations + inv addr)
     t.invalidators
-
-(* Windowed per-core port: the barrier-parallel SMP mode gives every
-   core a private replica of the shared L3 plus an op log, so domains
-   never touch shared mutable state mid-window. At each barrier the
-   logs are replayed onto the canonical L3 in core-index order and the
-   replicas re-synced by blit — the merged state depends only on core
-   order, never on how many domains stepped the window, which is what
-   makes Barrier mode bit-identical for 1 vs N domains. Port bandwidth
-   is a static per-core share of the machine budget, accounted in a
-   per-core table (per-core clocks are monotone, so no shared window
-   counters are needed). *)
-
-let op_lookup = 0
-
-let op_insert = 1
-
-let op_write = 2
-
-type wport = {
-  owner : t;
-  wcore : int;
-  replica : Cache.t;
-  log : int Vec.t;
-  wused : (int, int) Hashtbl.t;
-  mutable l_admitted : int;
-  mutable l_queued : int;
-  mutable l_queue_cycles : int;
-}
-
-let open_wport t ~core =
-  {
-    owner = t;
-    wcore = core;
-    replica = Cache.create ~name:"L3" ~line_bytes:t.cfg.line_bytes t.cfg.l3;
-    log = Vec.create ();
-    wused = Hashtbl.create 256;
-    l_admitted = 0;
-    l_queued = 0;
-    l_queue_cycles = 0;
-  }
-
-let wport_cache p = p.replica
-
-(* Static per-core slice of the machine budget, read at admission time
-   so ports opened during incremental attach still see the final core
-   count. *)
-let wport_share p =
-  let t = p.owner in
-  if t.bud <= 0 then 0 else max 1 (t.bud / max 1 (cores t))
-
-let wport_admit p ~now =
-  p.l_admitted <- p.l_admitted + 1;
-  let share = wport_share p in
-  if share <= 0 then 0
-  else begin
-    let w0 = now / p.owner.win in
-    let w = place p.wused share w0 in
-    if w = w0 then 0
-    else begin
-      let delay = (w * p.owner.win) - now in
-      p.l_queued <- p.l_queued + 1;
-      p.l_queue_cycles <- p.l_queue_cycles + delay;
-      delay
-    end
-  end
-
-let wport_log_lookup p ~now ~addr =
-  Vec.push p.log op_lookup;
-  Vec.push p.log now;
-  Vec.push p.log addr
-
-let wport_log_insert p ~now ~ready_at ~addr =
-  Vec.push p.log op_insert;
-  Vec.push p.log now;
-  Vec.push p.log ready_at;
-  Vec.push p.log addr
-
-let wport_write p ~addr =
-  Vec.push p.log op_write;
-  Vec.push p.log addr
-
-let merge_wports t ports =
-  (* Sequential phase: replay each core's log onto the canonical L3 in
-     core-index order, then re-sync every replica from the merged
-     canonical state. An all-empty barrier (no L3 traffic in the
-     window) leaves canonical and replicas already consistent, so the
-     per-core blits are skipped. *)
-  let dirty = Array.exists (fun p -> not (Vec.is_empty p.log)) ports in
-  Array.iter
-    (fun p ->
-      let n = Vec.length p.log in
-      let i = ref 0 in
-      while !i < n do
-        let op = Vec.get p.log !i in
-        if op = op_lookup then begin
-          ignore (Cache.lookup_code t.l3 ~now:(Vec.get p.log (!i + 1)) (Vec.get p.log (!i + 2)));
-          i := !i + 3
-        end
-        else if op = op_insert then begin
-          Cache.insert t.l3
-            ~now:(Vec.get p.log (!i + 1))
-            ~ready_at:(Vec.get p.log (!i + 2))
-            (Vec.get p.log (!i + 3));
-          i := !i + 4
-        end
-        else begin
-          write t ~core:p.wcore ~addr:(Vec.get p.log (!i + 1));
-          i := !i + 2
-        end
-      done;
-      Vec.clear p.log;
-      t.stats.admitted <- t.stats.admitted + p.l_admitted;
-      t.stats.queued <- t.stats.queued + p.l_queued;
-      t.stats.queue_cycles <- t.stats.queue_cycles + p.l_queue_cycles;
-      p.l_admitted <- 0;
-      p.l_queued <- 0;
-      p.l_queue_cycles <- 0)
-    ports;
-  if dirty then Array.iter (fun p -> Cache.copy_state ~src:t.l3 ~dst:p.replica) ports
 
 let stats t = t.stats
 

@@ -58,49 +58,6 @@ val admit : t -> now:int -> int
     line in every other attached core's private hierarchy. *)
 val write : t -> core:int -> addr:int -> unit
 
-(** {2 Windowed per-core ports (barrier-parallel SMP)}
-
-    In barrier mode every core owns a [wport]: a private replica of the
-    shared L3 plus an op log, so OCaml [Domain]s stepping different
-    cores never touch shared mutable state inside a window. At each
-    barrier {!merge_wports} replays the logs onto the canonical L3 in
-    core-index order and re-syncs every replica by blit — merged state
-    depends only on core order, never on the domain count, which is
-    what makes barrier mode bit-identical for 1 vs N domains. Port
-    bandwidth becomes a static per-core share
-    [max 1 (budget / cores)], accounted per core (core clocks are
-    monotone, so no shared window counters are needed). *)
-
-type wport
-
-(** [open_wport t ~core] builds the windowed port for [core] (an id
-    returned by {!attach}). The per-core budget share is read at
-    admission time, so ports may be opened while cores are still being
-    attached. *)
-val open_wport : t -> core:int -> wport
-
-(** The core's private L3 replica (alias it as the hierarchy's L3). *)
-val wport_cache : wport -> Cache.t
-
-(** Per-core admission against the static budget share; returns the
-    queueing delay like {!admit}. *)
-val wport_admit : wport -> now:int -> int
-
-(** Record an L3 lookup/fill/store in the port's log for barrier
-    replay. *)
-val wport_log_lookup : wport -> now:int -> addr:int -> unit
-
-val wport_log_insert : wport -> now:int -> ready_at:int -> addr:int -> unit
-
-val wport_write : wport -> addr:int -> unit
-
-(** [merge_wports t ports] replays every port's log onto the canonical
-    L3 in array order (which must be core-index order), applies logged
-    stores' cross-core invalidations, folds the ports' admission stats
-    into [stats t], clears the logs, and re-syncs every replica from
-    the merged canonical state. Sequential-phase only. *)
-val merge_wports : t -> wport array -> unit
-
 val stats : t -> stats
 
 val reset_stats : t -> unit

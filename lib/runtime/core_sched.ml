@@ -102,9 +102,6 @@ let stealable t =
     (fun acc s -> if Context.is_ready s && s.Context.started_at < 0 then acc + 1 else acc)
     0 t.pool
 
-let ready_scavengers t =
-  Array.fold_left (fun acc s -> if Context.is_ready s then acc + 1 else acc) 0 t.pool
-
 let donate t =
   let n = Array.length t.pool in
   let rec find i =
@@ -127,8 +124,6 @@ let set_steal_source t f = t.steal_source <- Some f
 let set_on_complete t f = t.on_complete <- Some f
 
 let set_scavengers_enabled t enabled = t.scav_enabled <- enabled
-
-let scavengers_enabled t = t.scav_enabled
 
 type outcome = Worked | Idle
 

@@ -79,22 +79,12 @@ val add_scavenger : t -> Context.t -> unit
 (** Ready, never-started scavengers — what {!donate} can give away. *)
 val stealable : t -> int
 
-(** Ready scavengers including already-started ones (load signal). *)
-val ready_scavengers : t -> int
-
 (** Remove and return one cold scavenger, or [None]. *)
 val donate : t -> Context.t option
 
 (** [set_steal_source t f] installs the machine's steal path: [f ()]
     picks a victim core and returns [donate victim]. *)
 val set_steal_source : t -> (unit -> Context.t option) -> unit
-
-(** [accept_stolen t ctx] installs a scavenger already pulled from a
-    victim core (the barrier-mode steal path, where migration happens
-    in the sequential phase instead of through a [steal_source]
-    closure): counts the steal, charges [steal_cost] to the clock and
-    switch accounting, and adds [ctx] to the pool. *)
-val accept_stolen : t -> Context.t -> unit
 
 (** [set_on_complete t f] is called as [f ctx ~now] when a request
     halts (not for scavengers). *)
@@ -106,8 +96,6 @@ val set_on_complete : t -> (Context.t -> now:int -> unit) -> unit
     Cluster-wide overload control flips this to shed batch work before
     missing the latency SLO. Default: enabled. *)
 val set_scavengers_enabled : t -> bool -> unit
-
-val scavengers_enabled : t -> bool
 
 type outcome =
   | Worked  (** ran at least one slice; clock advanced *)

@@ -67,7 +67,9 @@ type params = {
   prepare_core : int -> Stallhide_mem.Hierarchy.t -> unit;
       (** forwarded to {!Machine.config.prepare_core} (default no-op) *)
   sync : Machine.sync;
-      (** forwarded to {!Machine.config.sync} (default [Interleaved]) *)
+      (** forwarded to {!Machine.config.sync}; it has one value and is
+          kept only for the benchmark driver that sets it (see
+          {!Machine.sync}) *)
   trace : bool;
       (** forwarded to {!Machine.config.trace} (default [true]);
           [false] drops the per-core event streams. The decoded-µop

@@ -16,29 +16,12 @@ open Stallhide_mem
 open Stallhide_runtime
 open Stallhide_sched
 
-(** How the N cores advance relative to each other.
-
-    [Interleaved] is the classic mode: one global loop always steps the
-    lowest-clock core, so every shared-L3 admission and steal happens
-    in a single deterministic order.
-
-    [Barrier { window; domains }] cuts simulated time into fixed
-    [window]-cycle slices. Inside a slice each core runs against purely
-    private state — its scheduler, L1/L2, and a {e replica} of the
-    shared L3 behind a {!Stallhide_mem.Shared_l3.wport} op log — so the
-    slice can execute on [domains] OCaml 5 [Domain]s in parallel. At
-    each barrier (sequential, core-index order) the logs are replayed
-    onto the canonical L3, replicas re-sync, cold scavengers migrate to
-    starved cores, and arrivals due in the next slice are released.
-    The merged state depends only on core order, never on the domain
-    chunking, so 1 domain and N domains are bit-identical — the
-    [test_smp_domains] property. Cross-core L3/coherence effects are
-    deferred to the next barrier (bounded staleness of one window);
-    barrier mode is therefore its own timing model, not a bit-identical
-    reimplementation of [Interleaved]. Parallel windows require
-    write-disjoint workload data (cores must not store to addresses
-    other domains touch mid-window). *)
-type sync = Interleaved | Barrier of { window : int; domains : int }
+(** The one way the N cores advance relative to each other: a single
+    loop always steps the lowest-clock core. This is not an option —
+    it has one value and nothing branches on it. The type and the
+    [config.sync] field are kept only because the benchmark driver
+    [perfbench/smp_kv.ml] still sets [sync] when it builds a {!config}. *)
+type sync = Interleaved
 
 type config = {
   cores : int;
@@ -53,7 +36,7 @@ type config = {
           any request runs — the hook fault injection and causal
           counterfactuals use to arm spikes or level scaling on every
           core deterministically (default: no-op) *)
-  sync : sync;  (** default [Interleaved] *)
+  sync : sync;  (** always [Interleaved]; see {!sync} *)
   trace : bool;
       (** default [true]: compose each core's event stream into the
           engine hooks (closure-free, so the decoded-µop fast path still
@@ -78,19 +61,12 @@ type request = {
 
 val request : rid:int -> key:int -> home:int -> arrival:int -> Context.t -> request
 
-(** One cross-core scavenger migration: context [stolen] moved from
-    core [from_core] to core [to_core] at the thief's clock [at]. *)
-type steal = { stolen : int; from_core : int; to_core : int; at : int }
-
 type core_result = {
   core_id : int;
   cycles : int;  (** this core's final local clock *)
   stats : Core_sched.stats;
   mem : Mem_stats.t;
   stream : Stallhide_obs.Stream.t;  (** empty when [config.trace = false] *)
-  steal_log : steal list;
-      (** steals this core made as thief, in order — kept whatever
-          [config.trace] says *)
   sojourns : int list;  (** completion - arrival, for requests finished here *)
   faults : string list;
 }
@@ -155,18 +131,8 @@ module Live : sig
   val backlog : t -> int
 
   (** Release due arrivals and step the lowest-clock core once;
-      [Idle] only when {!quiescent} (or past [max_cycles]). Interleaved
-      semantics — an outer loop driving a [Barrier] machine should use
-      {!run_barrier} instead. *)
+      [Idle] only when {!quiescent} (or past [max_cycles]). *)
   val step : t -> Stallhide_runtime.Core_sched.outcome
-
-  (** Drive a [Barrier]-mode machine to completion: parallel
-      fixed-window stepping with sequential barriers (L3 log merge,
-      steals, releases). Requires every core to have been built with a
-      windowed L3 port, i.e. [config.sync = Barrier _].
-      @raise Invalid_argument on non-windowed cores or a non-positive
-      window/domain count. *)
-  val run_barrier : t -> window:int -> domains:int -> unit
 
   (** Called after internal bookkeeping whenever a request completes —
       the cluster's completion-to-response hook. *)
