@@ -16,7 +16,18 @@ let workload_names =
     "group-by"; "offload"; "txn-oltp";
   ]
 
+(* Sizes are user input: a non-positive one exits 2 with one line
+   instead of reaching a library [Invalid_argument] or a run that
+   measures nothing. *)
+let require_positive flag n =
+  if n <= 0 then begin
+    Printf.eprintf "stallhide: --%s must be positive (got %d)\n" flag n;
+    exit 2
+  end
+
 let make_workload name ~lanes ~ops ~manual ~seed =
+  require_positive "lanes" lanes;
+  require_positive "ops" ops;
   match name with
   | "pointer-chase" -> Pointer_chase.make ~manual ~lanes ~nodes_per_lane:2048 ~hops:ops ~seed ()
   | "hash-probe" -> Hash_probe.make ~manual ~lanes ~table_slots:16384 ~ops ~seed ()
@@ -73,9 +84,15 @@ let policy_arg =
        & info [ "policy" ] ~docv:"POLICY" ~doc:"always | cost-benefit | <miss-prob threshold>.")
 
 let interval_arg =
-  Arg.(value & opt (some int) None
-       & info [ "scavenger-interval" ] ~docv:"CYCLES"
-           ~doc:"Run the scavenger pass with this target inter-yield interval.")
+  let check interval =
+    Option.iter (require_positive "scavenger-interval") interval;
+    interval
+  in
+  Term.(
+    const check
+    $ Arg.(value & opt (some int) None
+           & info [ "scavenger-interval" ] ~docv:"CYCLES"
+               ~doc:"Run the scavenger pass with this target inter-yield interval."))
 
 let no_verify_arg =
   Arg.(value & flag
@@ -136,10 +153,6 @@ let run_cmd =
   let run workload mechanism placement lanes ops seed policy interval json trace_out prom_out
       attribution no_verify =
     check_workload workload;
-    if lanes <= 0 then begin
-      Printf.eprintf "stallhide: --lanes must be positive (got %d)\n" lanes;
-      exit 2
-    end;
     if attribution && mechanism <> "pgo" then begin
       Printf.eprintf "stallhide: --attribution needs --mechanism pgo (got %s)\n" mechanism;
       exit 2
@@ -619,6 +632,7 @@ let lint_cmd =
 let trace_cmd =
   let trace workload lanes ops seed interval width cycles format output =
     check_workload workload;
+    require_positive "width" width;
     let module Obs = Stallhide_obs in
     let w = make_workload workload ~lanes ~ops ~manual:false ~seed in
     let profiled = Pipeline.profile w in
@@ -720,6 +734,8 @@ let inject_cmd =
   let module F = Stallhide_faults.Faults in
   let module H = Stallhide_faults.Harness in
   let inject specs workload lanes ops seed json output =
+    require_positive "lanes" lanes;
+    require_positive "ops" ops;
     let workloads =
       if workload = "all" then H.workload_names
       else begin
@@ -861,15 +877,8 @@ let smp_cmd =
     | other ->
         Printf.eprintf "stallhide: smp serves the sharded kv-server (got %S)\n" other;
         exit 2);
-    if cores <= 0 then begin
-      Printf.eprintf "stallhide: --cores must be positive (got %d)\n" cores;
-      exit 2
-    end;
-    if requests_per_core <= 0 then begin
-      Printf.eprintf "stallhide: --requests-per-core must be positive (got %d)\n"
-        requests_per_core;
-      exit 2
-    end;
+    require_positive "cores" cores;
+    require_positive "requests-per-core" requests_per_core;
     let policy =
       match Stallhide_sched.Dispatch.policy_of_string policy with
       | Some p -> p
@@ -1074,18 +1083,9 @@ let cluster_cmd =
   let module J = Stallhide_util.Json in
   let cluster machines cores lb policy specs defend pgo requests interarrival skew seed json
       output =
-    if machines <= 0 then begin
-      Printf.eprintf "stallhide: --machines must be positive (got %d)\n" machines;
-      exit 2
-    end;
-    if cores <= 0 then begin
-      Printf.eprintf "stallhide: --cores must be positive (got %d)\n" cores;
-      exit 2
-    end;
-    if requests <= 0 then begin
-      Printf.eprintf "stallhide: --requests must be positive (got %d)\n" requests;
-      exit 2
-    end;
+    require_positive "machines" machines;
+    require_positive "cores" cores;
+    require_positive "requests" requests;
     let lb =
       match Lb.policy_of_string lb with
       | Some l -> l
@@ -1306,6 +1306,9 @@ let why_cmd =
       Printf.eprintf "stallhide: --sweep and --critical-path are mutually exclusive\n";
       exit 2
     end;
+    require_positive "lanes" lanes;
+    require_positive "ops" ops;
+    require_positive "repeats" repeats;
     let cfg = { Why.workload; lanes; ops; seed; repeats; metric; injection } in
     let emit mode payload = print_endline
         (J.to_string_pretty
@@ -1416,10 +1419,9 @@ let txn_cmd =
       Printf.eprintf "stallhide: --mix must be in 0..100 (got %d)\n" mix;
       exit 2
     end;
-    if inflight <= 0 || txns <= 0 || keys <= 0 then begin
-      Printf.eprintf "stallhide: --inflight, --txns and --keys must be positive\n";
-      exit 2
-    end;
+    require_positive "inflight" inflight;
+    require_positive "txns" txns;
+    require_positive "keys" keys;
     let p = { R.inflight; txns; batch; mix; keys; theta; seed } in
     let params_json =
       J.Obj
@@ -1449,10 +1451,7 @@ let txn_cmd =
         c.R.commits c.R.aborts c.R.latch_waits c.R.group_prefetch_hits c.R.lookups
     in
     if smp then begin
-      if cores <= 0 then begin
-        Printf.eprintf "stallhide: --cores must be positive (got %d)\n" cores;
-        exit 2
-      end;
+      require_positive "cores" cores;
       let o = R.run_smp ~cores mode p in
       let s = o.R.summary in
       if json then
@@ -1606,6 +1605,7 @@ let fuzz_cmd =
         (* a replay that still fails exits 1, like the campaign *)
         (match verdict with Check.Oracle.Counterexample _ -> exit 1 | _ -> ())
     | None ->
+        require_positive "cases" cases;
         let oracles =
           match oracles with
           | [] | [ "all" ] -> Check.Oracle.all

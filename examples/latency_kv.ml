@@ -39,11 +39,16 @@ let show_timeline () =
     Array.init 4 (fun l ->
         Workload.context analytics ~lane:l ~id:(l + 1) ~mode:Stallhide_cpu.Context.Scavenger)
   in
-  let (_ : Dual_mode.result) =
-    Dual_mode.run ~max_cycles:4000 ~tracer
+  let sched =
+    Core_sched.create ~obs:(Tracer.stream tracer)
       (Hierarchy.create Memconfig.default)
-      kv.Workload.image ~primary:p_ctx ~scavengers:s_ctxs
+      kv.Workload.image
   in
+  Core_sched.submit sched p_ctx;
+  Array.iter (Core_sched.add_scavenger sched) s_ctxs;
+  while Core_sched.step sched ~deadline:4000 = Core_sched.Worked do
+    ()
+  done;
   print_newline ();
   print_string (Tracer.render ~width:72 tracer)
 

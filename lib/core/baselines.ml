@@ -10,7 +10,7 @@ type opts = {
   max_cycles : int;
   obs : Stallhide_obs.Stream.t option;
   prepare_hier : Hierarchy.t -> unit;
-  watchdog : Dual_mode.watchdog option;
+  watchdog : Core_sched.watchdog option;
 }
 
 let default_opts =
@@ -200,17 +200,23 @@ let run_dual ?label ?(opts = default_opts) ~primary ~scavengers () =
   in
   let all = Array.append [| p_ctx |] s_ctxs in
   let log = Latency.watch all in
+  let sched =
+    Core_sched.create
+      ~config:{ Core_sched.default_config with engine = engine_of opts; switch = opts.switch }
+      ?watchdog:opts.watchdog ?obs:opts.obs hier primary.Workload.image
+  in
+  Core_sched.submit sched p_ctx;
+  Array.iter (Core_sched.add_scavenger sched) s_ctxs;
+  let primary_done_at = ref (-1) in
+  Core_sched.set_on_complete sched (fun _ ~now -> primary_done_at := now);
+  (* the primary, then the scavengers drained round-robin *)
+  while Core_sched.step sched ~deadline:opts.max_cycles = Core_sched.Worked do
+    ()
+  done;
+  let st = Core_sched.stats sched in
   let r =
-    Dual_mode.run
-      ~config:
-        {
-          Dual_mode.engine = engine_of opts;
-          switch = opts.switch;
-          drain = true;
-          watchdog = opts.watchdog;
-        }
-      ~max_cycles:opts.max_cycles ?obs:opts.obs hier primary.Workload.image ~primary:p_ctx
-      ~scavengers:s_ctxs
+    Scheduler.collect all ~clock:(Core_sched.clock sched) ~switches:st.Core_sched.switches
+      ~switch_cycles:st.Core_sched.switch_cycles ~faults:(Core_sched.faults sched)
   in
   let label =
     match label with
@@ -219,11 +225,11 @@ let run_dual ?label ?(opts = default_opts) ~primary ~scavengers () =
   in
   let recorded = Latency.of_log log in
   {
-    metrics = metrics ~label all recorded r.Dual_mode.sched;
+    metrics = metrics ~label all recorded r;
     primary_latency = Latency.summarize (Latency.of_ctx recorded 0);
-    primary_done_at = r.Dual_mode.primary_done_at;
-    scavenger_switches = r.Dual_mode.scavenger_switches;
-    watchdog_strikes = r.Dual_mode.watchdog_strikes;
-    watchdog_demotions = r.Dual_mode.watchdog_demotions;
-    watchdog_quarantined = r.Dual_mode.watchdog_quarantined;
+    primary_done_at = !primary_done_at;
+    scavenger_switches = st.Core_sched.scav_dispatches;
+    watchdog_strikes = st.Core_sched.watchdog_strikes;
+    watchdog_demotions = st.Core_sched.watchdog_demotions;
+    watchdog_quarantined = st.Core_sched.watchdog_quarantines;
   }

@@ -39,7 +39,7 @@ type opts = {
       (** called on every freshly built hierarchy before the run —
           the fault-injection hook (arm a latency spike here); default
           [ignore] *)
-  watchdog : Dual_mode.watchdog option;
+  watchdog : Core_sched.watchdog option;
       (** scheduler watchdog for {!run_dual}; [None] (default) disables *)
 }
 
@@ -115,15 +115,17 @@ val run_pgo_attributed :
 type dual_result = {
   metrics : Metrics.t;
   primary_latency : Latency.summary option;  (** per-request latency of the primary *)
-  primary_done_at : int;
-  scavenger_switches : int;
-  watchdog_strikes : int;  (** see {!Dual_mode.result} *)
+  primary_done_at : int;  (** clock when the primary halted; -1 if it did not *)
+  scavenger_switches : int;  (** scavenger dispatch slices, drained ones included *)
+  watchdog_strikes : int;  (** see {!Core_sched.stats} *)
   watchdog_demotions : int;
   watchdog_quarantined : int;
 }
 
 (** [run_dual ~primary ~scavengers] runs lane 0 of [primary] in primary
-    mode against all lanes of [scavengers] in scavenger mode. The two
+    mode against all lanes of [scavengers] in scavenger mode, as a
+    one-request {!Core_sched} run: the primary to completion, then the
+    scavengers drained round-robin. The two
     workloads must share one memory image (build them with [?image]).
     @raise Invalid_argument when images differ. *)
 val run_dual :

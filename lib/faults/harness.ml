@@ -239,16 +239,32 @@ let run_rogue ~opts ~workload ~count ~compute fault =
               (Faults.rogue_program ~compute ()))
       else [||]
     in
-    let r =
-      Dual_mode.run
-        ~config:
-          { Dual_mode.engine; switch = Switch_cost.coroutine; drain = false; watchdog }
-        ~obs:stream
+    let scavengers = Array.append legit rogues in
+    let sched =
+      Core_sched.create
+        ~config:{ Core_sched.default_config with engine }
+        ?watchdog ~obs:stream
         (Hierarchy.create Memconfig.default)
-        w.Workload.image ~primary ~scavengers:(Array.append legit rogues)
+        w.Workload.image
+    in
+    Core_sched.submit sched primary;
+    Array.iter (Core_sched.add_scavenger sched) scavengers;
+    (* stop when the primary halts: the scavengers are not drained *)
+    while
+      (not (Core_sched.quiescent sched))
+      && Core_sched.step sched ~deadline:max_int = Core_sched.Worked
+    do
+      ()
+    done;
+    let st = Core_sched.stats sched in
+    let r =
+      Scheduler.collect
+        (Array.append [| primary |] scavengers)
+        ~clock:(Core_sched.clock sched) ~switches:st.Core_sched.switches
+        ~switch_cycles:st.Core_sched.switch_cycles ~faults:(Core_sched.faults sched)
     in
     let latency = Latency.summary (Latency.of_ctx (Latency.of_log log) 0) in
-    (r, latency, primary)
+    (r, st, latency, primary)
   in
   (* the hidden-cycles reference: the stall the primary pays alone *)
   let alone_stall =
@@ -259,23 +275,23 @@ let run_rogue ~opts ~workload ~count ~compute fault =
     in
     ctx.Context.stall_cycles
   in
-  let mk arm (r, latency, (p : Context.t)) fault =
+  let mk arm (r, st, latency, (p : Context.t)) fault =
     {
       scenario = "rogue";
       workload;
       arm;
       fault;
-      cycles = r.Dual_mode.sched.Scheduler.cycles;
-      completed = r.Dual_mode.sched.Scheduler.completed;
+      cycles = r.Scheduler.cycles;
+      completed = r.Scheduler.completed;
       hidden_cycles = alone_stall - p.Context.stall_cycles;
       latency;
       split = None;
       counters =
         [
-          ("watchdog.strikes", r.Dual_mode.watchdog_strikes);
-          ("watchdog.demotions", r.Dual_mode.watchdog_demotions);
-          ("watchdog.quarantines", r.Dual_mode.watchdog_quarantined);
-          ("scavenger.switches", r.Dual_mode.scavenger_switches);
+          ("watchdog.strikes", st.Core_sched.watchdog_strikes);
+          ("watchdog.demotions", st.Core_sched.watchdog_demotions);
+          ("watchdog.quarantines", st.Core_sched.watchdog_quarantines);
+          ("scavenger.switches", st.Core_sched.scav_dispatches);
         ];
     }
   in
@@ -283,7 +299,7 @@ let run_rogue ~opts ~workload ~count ~compute fault =
     mk "fault-free" (arm ~rogue:false ~watchdog:None) None;
     mk "undefended" (arm ~rogue:true ~watchdog:None) (Some fault);
     mk "defended"
-      (arm ~rogue:true ~watchdog:(Some Dual_mode.default_watchdog))
+      (arm ~rogue:true ~watchdog:(Some Core_sched.default_watchdog))
       (Some fault);
   ]
 

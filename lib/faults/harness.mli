@@ -7,7 +7,7 @@
     - ["undefended"] — the fault armed, every defense off;
     - ["defended"] — the fault armed and the matching defense on
       (drift/pebs → {!Stallhide.Drift} de-instrumentation; rogue →
-      the {!Stallhide_runtime.Dual_mode} watchdog; spike → server
+      the {!Stallhide_runtime.Core_sched} watchdog; spike → server
       overload protection calibrated off the fault-free p99).
 
     [hidden_cycles] is measured against the arm's no-hiding reference

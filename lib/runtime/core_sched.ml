@@ -17,6 +17,10 @@ let default_config =
     steal_cost = 24;
   }
 
+type watchdog = { bound : int; strikes : int; backoff : int; quarantine_after : int }
+
+let default_watchdog = { bound = 512; strikes = 2; backoff = 2048; quarantine_after = 2 }
+
 type stats = {
   mutable dispatches : int;
   mutable scav_dispatches : int;
@@ -27,17 +31,31 @@ type stats = {
   mutable escalations : int;
   mutable completions : int;
   mutable fault_count : int;
+  mutable watchdog_strikes : int;
+  mutable watchdog_demotions : int;
+  mutable watchdog_quarantines : int;
+}
+
+(* A pool entry: the scavenger and its watchdog record (left at zero
+   when no watchdog is installed). *)
+type slot = {
+  ctx : Context.t;
+  mutable overruns : int;  (** strikes since the last demotion *)
+  mutable demotions : int;
+  mutable benched_until : int;  (** 0 when not benched *)
+  mutable quarantined : bool;
 }
 
 type t = {
   cfg : config;
+  watchdog : watchdog option;
   hier : Hierarchy.t;
   mem : Address_space.t;
   obs : Stallhide_obs.Stream.t option;
   clock : int ref;
   queue : Context.t Queue.t;
   mutable current : Context.t option;
-  mutable pool : Context.t array;
+  mutable pool : slot array;
   mutable rr : int;
   mutable steal_source : (unit -> Context.t option) option;
   mutable on_complete : (Context.t -> now:int -> unit) option;
@@ -46,9 +64,10 @@ type t = {
   stats : stats;
 }
 
-let create ?(config = default_config) ?obs hier mem =
+let create ?(config = default_config) ?watchdog ?obs hier mem =
   {
     cfg = config;
+    watchdog;
     hier;
     mem;
     obs;
@@ -72,6 +91,9 @@ let create ?(config = default_config) ?obs hier mem =
         escalations = 0;
         completions = 0;
         fault_count = 0;
+        watchdog_strikes = 0;
+        watchdog_demotions = 0;
+        watchdog_quarantines = 0;
       };
   }
 
@@ -95,21 +117,17 @@ let queue_depth t = Queue.length t.queue + match t.current with Some _ -> 1 | No
 
 let add_scavenger t ctx =
   ctx.Context.mode <- Context.Scavenger;
-  t.pool <- Array.append t.pool [| ctx |]
+  t.pool <-
+    Array.append t.pool
+      [| { ctx; overruns = 0; demotions = 0; benched_until = 0; quarantined = false } |]
 
-let stealable t =
-  Array.fold_left
-    (fun acc s -> if Context.is_ready s && s.Context.started_at < 0 then acc + 1 else acc)
-    0 t.pool
+let cold s = Context.is_ready s.ctx && s.ctx.Context.started_at < 0
+
+let stealable t = Array.fold_left (fun acc s -> if cold s then acc + 1 else acc) 0 t.pool
 
 let donate t =
   let n = Array.length t.pool in
-  let rec find i =
-    if i = n then None
-    else
-      let s = t.pool.(i) in
-      if Context.is_ready s && s.Context.started_at < 0 then Some i else find (i + 1)
-  in
+  let rec find i = if i = n then None else if cold t.pool.(i) then Some i else find (i + 1) in
   match find 0 with
   | None -> None
   | Some i ->
@@ -117,7 +135,7 @@ let donate t =
       t.pool <- Array.init (n - 1) (fun k -> if k < i then t.pool.(k) else t.pool.(k + 1));
       if t.rr > i then t.rr <- t.rr - 1;
       t.stats.donated <- t.stats.donated + 1;
-      Some s
+      Some s.ctx
 
 let set_steal_source t f = t.steal_source <- Some f
 
@@ -144,6 +162,10 @@ let charge t ~from_ctx ~at_pc cost =
   | None -> ());
   t.clock := !(t.clock) + cost
 
+let fault t m =
+  t.faults <- m :: t.faults;
+  t.stats.fault_count <- t.stats.fault_count + 1
+
 (* Install a scavenger pulled from another core, paying the steal
    toll; the cycles are spent inside the stall being hidden, so they
    land in switch accounting. *)
@@ -163,30 +185,77 @@ let try_steal t =
           accept_stolen t s;
           true)
 
-(* First ready scavenger at or after the cursor, without advancing it:
-   scavengers are served depth-first (the same one resumes until it
-   halts or escalates), so later pool entries stay cold — and therefore
-   stealable — as long as possible. *)
+let watchdog_event t s action =
+  emit t (Stallhide_obs.Event.Watchdog { ctx = s.ctx.Context.id; action; cycle = !(t.clock) })
+
+(* Whether the watchdog lets [s] run now; an expired bench readmits it. *)
+let admissible t s =
+  match t.watchdog with
+  | None -> true
+  | Some _ ->
+      if s.quarantined || s.benched_until > !(t.clock) then false
+      else begin
+        if s.benched_until > 0 then begin
+          s.benched_until <- 0;
+          watchdog_event t s Stallhide_obs.Event.Readmit
+        end;
+        true
+      end
+
+(* First ready, admissible scavenger at or after the cursor; the cursor
+   moves past it (round-robin rotation). *)
 let next_scavenger t =
   let n = Array.length t.pool in
   let rec loop k =
     if k = n then None
     else
       let j = (t.rr + k) mod n in
-      if Context.is_ready t.pool.(j) then begin
-        t.rr <- j;
-        Some j
+      let s = t.pool.(j) in
+      if Context.is_ready s.ctx && admissible t s then begin
+        t.rr <- (j + 1) mod n;
+        Some s
       end
       else loop (k + 1)
   in
-  if n = 0 then None else loop 0
+  loop 0
 
-(* The current scavenger is done with (halted, escalated, faulted):
-   move the cursor past it. *)
-let retire_scavenger t j = t.rr <- (j + 1) mod max 1 (Array.length t.pool)
+(* The strike check: a dispatch past [bound] cycles earns a strike;
+   [strikes] strikes demote the scavenger for [backoff] cycles
+   (doubling per demotion); the [quarantine_after]-th demotion is
+   permanent. *)
+let check_overrun t s ~elapsed =
+  match t.watchdog with
+  | Some w when elapsed > w.bound ->
+      t.stats.watchdog_strikes <- t.stats.watchdog_strikes + 1;
+      watchdog_event t s Stallhide_obs.Event.Strike;
+      s.overruns <- s.overruns + 1;
+      if s.overruns >= w.strikes then begin
+        s.overruns <- 0;
+        let nth = s.demotions in
+        s.demotions <- nth + 1;
+        if s.demotions >= w.quarantine_after then begin
+          s.quarantined <- true;
+          t.stats.watchdog_quarantines <- t.stats.watchdog_quarantines + 1;
+          watchdog_event t s Stallhide_obs.Event.Quarantine
+        end
+        else begin
+          s.benched_until <- !(t.clock) + (w.backoff lsl min nth 20);
+          t.stats.watchdog_demotions <- t.stats.watchdog_demotions + 1;
+          watchdog_event t s Stallhide_obs.Event.Demote
+        end
+      end
+  | _ -> ()
 
 let run_slice t ~deadline ctx =
   Scheduler.traced ?obs:t.obs t.cfg.engine t.hier t.mem ~clock:t.clock ~deadline ctx
+
+(* One scavenger slice, counted and checked by the watchdog. *)
+let dispatch_scavenger t ~deadline s =
+  t.stats.scav_dispatches <- t.stats.scav_dispatches + 1;
+  let start = !(t.clock) in
+  let outcome = run_slice t ~deadline s.ctx in
+  check_overrun t s ~elapsed:(!(t.clock) - start);
+  outcome
 
 (* Fill the current primary's stall: scavenger slices until a timely
    scavenger-phase yield, escalating past ones that hit their own
@@ -198,31 +267,26 @@ let hide t ~deadline =
     else
       match next_scavenger t with
       | None -> if !steals_left > 0 && try_steal t then begin decr steals_left; go budget end
-      | Some j -> (
-          let s = t.pool.(j) in
-          t.stats.scav_dispatches <- t.stats.scav_dispatches + 1;
-          match run_slice t ~deadline s with
+      | Some s -> (
+          let c = s.ctx in
+          match dispatch_scavenger t ~deadline s with
           | Engine.Yielded (Instr.Scavenger, pc) ->
-              charge t ~from_ctx:s.Context.id ~at_pc:pc
-                (Switch_cost.at_site t.cfg.switch s.Context.program pc)
+              charge t ~from_ctx:c.Context.id ~at_pc:pc
+                (Switch_cost.at_site t.cfg.switch c.Context.program pc)
           | Engine.Yielded (Instr.Primary, pc) ->
               t.stats.escalations <- t.stats.escalations + 1;
               emit t
                 (Stallhide_obs.Event.Scavenger_escalation
-                   { ctx = s.Context.id; pc; cycle = !(t.clock) });
-              charge t ~from_ctx:s.Context.id ~at_pc:pc
-                (Switch_cost.at_site t.cfg.switch s.Context.program pc);
-              retire_scavenger t j;
+                   { ctx = c.Context.id; pc; cycle = !(t.clock) });
+              charge t ~from_ctx:c.Context.id ~at_pc:pc
+                (Switch_cost.at_site t.cfg.switch c.Context.program pc);
               go (budget - 1)
           | Engine.Halted ->
-              charge t ~from_ctx:s.Context.id ~at_pc:(-1) t.cfg.switch.Switch_cost.base;
-              retire_scavenger t j;
+              charge t ~from_ctx:c.Context.id ~at_pc:(-1) t.cfg.switch.Switch_cost.base;
               go (budget - 1)
           | Engine.Out_of_budget -> ()
           | Engine.Fault m ->
-              t.faults <- m :: t.faults;
-              t.stats.fault_count <- t.stats.fault_count + 1;
-              retire_scavenger t j;
+              fault t m;
               go (budget - 1))
   in
   if t.scav_enabled then go (2 * max 1 (Array.length t.pool))
@@ -254,29 +318,22 @@ let step t ~deadline =
             (* deadline hit mid-request: resume on the next step *)
             Worked
         | Engine.Fault m ->
-            t.faults <- m :: t.faults;
-            t.stats.fault_count <- t.stats.fault_count + 1;
+            fault t m;
             t.current <- None;
             Worked)
     | None when not t.scav_enabled -> Idle
     | None -> (
-        (* Batch-only period: burn down scavengers depth-first. *)
+        (* Batch-only period: one scavenger slice. *)
         match next_scavenger t with
-        | Some j -> (
-            let s = t.pool.(j) in
-            t.stats.scav_dispatches <- t.stats.scav_dispatches + 1;
-            match run_slice t ~deadline s with
+        | Some s -> (
+            match dispatch_scavenger t ~deadline s with
             | Engine.Yielded (_, pc) ->
-                charge t ~from_ctx:s.Context.id ~at_pc:pc
-                  (Switch_cost.at_site t.cfg.switch s.Context.program pc);
+                charge t ~from_ctx:s.ctx.Context.id ~at_pc:pc
+                  (Switch_cost.at_site t.cfg.switch s.ctx.Context.program pc);
                 Worked
-            | Engine.Halted | Engine.Out_of_budget ->
-                retire_scavenger t j;
-                Worked
+            | Engine.Halted | Engine.Out_of_budget -> Worked
             | Engine.Fault m ->
-                t.faults <- m :: t.faults;
-                t.stats.fault_count <- t.stats.fault_count + 1;
-                retire_scavenger t j;
+                fault t m;
                 Worked)
         | None -> if try_steal t then Worked else Idle)
   end

@@ -28,31 +28,25 @@ let collect (ctxs : Context.t array) ~clock ~switches ~switch_cycles ~faults =
 let emit obs event =
   match obs with Some s -> Stallhide_obs.Stream.record s event | None -> ()
 
-let traced ?tracer ?obs engine hier mem ~clock ~deadline (ctx : Context.t) =
+let traced ?obs engine hier mem ~clock ~deadline (ctx : Context.t) =
   let before = !clock in
   let r = Engine.run engine hier mem ~clock ~deadline ctx in
-  if !clock > before then begin
-    (match tracer with
-    | Some t -> Tracer.record t ~ctx:ctx.Context.id ~start:before ~stop:!clock
-    | None -> ());
-    (* Allocate the Dispatch record only when someone is listening:
-       [traced] runs once per slice on the hot path. *)
-    match obs with
-    | Some s ->
-        Stallhide_obs.Stream.record s
-          (Stallhide_obs.Event.Dispatch { ctx = ctx.Context.id; start = before; stop = !clock })
-    | None -> ()
-  end;
+  (* Allocate the Dispatch record only when someone is listening:
+     [traced] runs once per slice on the hot path. *)
+  (match obs with
+  | Some s when !clock > before ->
+      Stallhide_obs.Stream.record s
+        (Stallhide_obs.Event.Dispatch { ctx = ctx.Context.id; start = before; stop = !clock })
+  | _ -> ());
   r
 
-let run_sequential ?(engine = Engine.default_config) ?(max_cycles = max_int) ?tracer ?obs hier mem
-    ctxs =
+let run_sequential ?(engine = Engine.default_config) ?(max_cycles = max_int) ?obs hier mem ctxs =
   let clock = ref 0 in
   let faults = ref [] in
   Array.iter
     (fun ctx ->
       let rec go () =
-        match traced ?tracer ?obs engine hier mem ~clock ~deadline:max_cycles ctx with
+        match traced ?obs engine hier mem ~clock ~deadline:max_cycles ctx with
         | Engine.Yielded _ -> go ()  (* nothing to switch to: resume free *)
         | Engine.Halted | Engine.Out_of_budget -> ()
         | Engine.Fault m -> faults := m :: !faults
@@ -61,8 +55,8 @@ let run_sequential ?(engine = Engine.default_config) ?(max_cycles = max_int) ?tr
     ctxs;
   collect ctxs ~clock:!clock ~switches:0 ~switch_cycles:0 ~faults:(List.rev !faults)
 
-let run_round_robin ?(engine = Engine.default_config) ?(max_cycles = max_int) ?tracer ?obs
-    ~switch hier mem ctxs =
+let run_round_robin ?(engine = Engine.default_config) ?(max_cycles = max_int) ?obs ~switch hier
+    mem ctxs =
   let n = Array.length ctxs in
   if n = 0 then invalid_arg "Scheduler.run_round_robin: no contexts";
   let clock = ref 0 in
@@ -88,7 +82,7 @@ let run_round_robin ?(engine = Engine.default_config) ?(max_cycles = max_int) ?t
   let cur = ref (if Context.is_ready ctxs.(0) then 0 else next_after 0) in
   while !cur >= 0 && !clock < max_cycles do
     let ctx = ctxs.(!cur) in
-    (match traced ?tracer ?obs engine hier mem ~clock ~deadline:max_cycles ctx with
+    (match traced ?obs engine hier mem ~clock ~deadline:max_cycles ctx with
     | Engine.Yielded (_, pc) ->
         let nxt = next_after !cur in
         if nxt >= 0 && nxt <> !cur then begin

@@ -7,7 +7,7 @@
       CoroBase / killer-nanoseconds: on every yield, switch (paying the
       liveness-aware switch cost) to the next runnable coroutine.
 
-    All schedulers share one clock, hierarchy and memory image across
+    The §3.3 dual-mode scheduler is {!Core_sched}. All schedulers share one clock, hierarchy and memory image across
     contexts, so coroutines contend for cache exactly as they would on
     one core. *)
 
@@ -30,10 +30,20 @@ val busy : result -> int
 
 val efficiency : result -> float
 
+(** [collect ctxs ~clock ~switches ~switch_cycles ~faults] sums stall,
+    instructions and completions over [ctxs] into a result — how every
+    scheduler, {!Core_sched} runs included, reports a run. *)
+val collect :
+  Context.t array ->
+  clock:int ->
+  switches:int ->
+  switch_cycles:int ->
+  faults:string list ->
+  result
+
 val run_sequential :
   ?engine:Engine.config ->
   ?max_cycles:int ->
-  ?tracer:Tracer.t ->
   ?obs:Stallhide_obs.Stream.t ->
   Stallhide_mem.Hierarchy.t ->
   Stallhide_mem.Address_space.t ->
@@ -43,7 +53,6 @@ val run_sequential :
 val run_round_robin :
   ?engine:Engine.config ->
   ?max_cycles:int ->
-  ?tracer:Tracer.t ->
   ?obs:Stallhide_obs.Stream.t ->
   switch:Switch_cost.t ->
   Stallhide_mem.Hierarchy.t ->
@@ -53,13 +62,13 @@ val run_round_robin :
 
 val pp_result : Format.formatter -> result -> unit
 
-(** [traced ?tracer ?obs engine hier mem ~clock ~deadline ctx] runs the
-    engine and records the dispatch span into the tracer and/or the
-    telemetry stream (scheduler building block). Scheduling-level
+(** [traced ?obs engine hier mem ~clock ~deadline ctx] runs the engine
+    and records the dispatch span into the telemetry stream (scheduler
+    building block; a {!Tracer.t} is a stream, pass
+    [~obs:(Tracer.stream t)] to draw it). Scheduling-level
     events ([Dispatch], [Context_switch], [Scavenger_escalation]) go to
     [obs]; the engine-level hooks in [engine] are independent of it. *)
 val traced :
-  ?tracer:Tracer.t ->
   ?obs:Stallhide_obs.Stream.t ->
   Engine.config ->
   Stallhide_mem.Hierarchy.t ->

@@ -23,8 +23,6 @@ let span_count t =
 
 let dropped t = Stream.dropped t
 
-let reset t = Stream.reset t
-
 let busy_of t ctx =
   let acc = ref 0 in
   Stream.iter

@@ -13,8 +13,9 @@
     v}
 
     A tracer {e is} a stream: {!create} makes a private one sized to
-    [max_spans]; {!of_stream} renders the dispatch spans already inside
-    a shared telemetry stream. *)
+    [max_spans], which a scheduler fills when given
+    [~obs:(stream t)]; {!of_stream} renders the dispatch spans already
+    inside a shared telemetry stream. *)
 
 type span = { ctx : int; start : int; stop : int }
 
@@ -38,10 +39,6 @@ val spans : t -> span list
 val span_count : t -> int
 
 val dropped : t -> int
-
-(** Clear recorded spans and the drop count (buffer reuse between
-    runs). *)
-val reset : t -> unit
 
 (** Total cycles attributed to [ctx]. *)
 val busy_of : t -> int -> int

@@ -272,25 +272,41 @@ let dual_setup ~scav_src ~scavs ~hops =
 let escalations stream =
   Stallhide_obs.Registry.total (Stallhide_obs.Stream.registry stream) "scavenger.escalations"
 
+(* One-request Core_sched run: the primary, then the scavengers
+   drained; returns the run and the scheduler stats. *)
+let dual_run ?watchdog ~obs mem ~primary ~scavengers =
+  let sched = Core_sched.create ?watchdog ~obs (Hierarchy.create cfg) mem in
+  Core_sched.submit sched primary;
+  Array.iter (Core_sched.add_scavenger sched) scavengers;
+  while Core_sched.step sched ~deadline:max_int = Core_sched.Worked do
+    ()
+  done;
+  let st = Core_sched.stats sched in
+  ( Scheduler.collect
+      (Array.append [| primary |] scavengers)
+      ~clock:(Core_sched.clock sched) ~switches:st.Core_sched.switches
+      ~switch_cycles:st.Core_sched.switch_cycles ~faults:(Core_sched.faults sched),
+    st )
+
 let test_dual_scale_up_on_early_yields () =
   let mem, primary, scavengers = dual_setup ~scav_src:early_yield_scav_src ~scavs:4 ~hops:40 in
   let stream = Stallhide_obs.Stream.create () in
-  let r = Dual_mode.run ~obs:stream (Hierarchy.create cfg) mem ~primary ~scavengers in
+  let r, st = dual_run ~obs:stream mem ~primary ~scavengers in
   (* cold rings: the first scavenger's own miss-yield forces the pool
      to scale up past it *)
   Alcotest.(check bool) "escalated" true (escalations stream > 0);
-  Alcotest.(check bool) "pool used" true (r.Dual_mode.scavenger_switches > 0);
-  Alcotest.(check int) "everyone halts" 5 r.Dual_mode.sched.Scheduler.completed
+  Alcotest.(check bool) "pool used" true (st.Core_sched.scav_dispatches > 0);
+  Alcotest.(check int) "everyone halts" 5 r.Scheduler.completed
 
 let test_dual_scale_down_on_timely_yields () =
   let mem, primary, scavengers = dual_setup ~scav_src:timely_scav_src ~scavs:4 ~hops:40 in
   let stream = Stallhide_obs.Stream.create () in
-  let r = Dual_mode.run ~obs:stream (Hierarchy.create cfg) mem ~primary ~scavengers in
+  let r, st = dual_run ~obs:stream mem ~primary ~scavengers in
   (* compute-only scavengers always return timely: one dispatch per
      primary stall suffices, the pool never escalates *)
   Alcotest.(check int) "no escalation" 0 (escalations stream);
-  Alcotest.(check bool) "still fills stalls" true (r.Dual_mode.scavenger_switches > 0);
-  Alcotest.(check int) "everyone halts" 5 r.Dual_mode.sched.Scheduler.completed
+  Alcotest.(check bool) "still fills stalls" true (st.Core_sched.scav_dispatches > 0);
+  Alcotest.(check int) "everyone halts" 5 r.Scheduler.completed
 
 (* --- watchdog --- *)
 
@@ -300,39 +316,36 @@ let rogue_arm ~watchdog ~bursts ~compute =
     Context.create ~id:9 ~mode:Context.Scavenger (Faults.rogue_program ~bursts ~compute ())
   in
   let stream = Stallhide_obs.Stream.create () in
-  let r =
-    Dual_mode.run
-      ~config:{ Dual_mode.default_config with Dual_mode.watchdog }
-      ~obs:stream (Hierarchy.create cfg) mem ~primary
-      ~scavengers:(Array.append legit [| rogue |])
+  let _, st =
+    dual_run ?watchdog ~obs:stream mem ~primary ~scavengers:(Array.append legit [| rogue |])
   in
-  (r, stream)
+  (st, stream)
 
 let test_watchdog_quarantines_rogue () =
-  let w = { Dual_mode.bound = 256; strikes = 1; backoff = 1024; quarantine_after = 1 } in
-  let r, stream = rogue_arm ~watchdog:(Some w) ~bursts:64 ~compute:2000 in
-  Alcotest.(check bool) "struck" true (r.Dual_mode.watchdog_strikes >= 1);
+  let w = { Core_sched.bound = 256; strikes = 1; backoff = 1024; quarantine_after = 1 } in
+  let st, stream = rogue_arm ~watchdog:(Some w) ~bursts:64 ~compute:2000 in
+  Alcotest.(check bool) "struck" true (st.Core_sched.watchdog_strikes >= 1);
   (* quarantine_after = 1: straight to quarantine, no bench in between *)
-  Alcotest.(check int) "no benching" 0 r.Dual_mode.watchdog_demotions;
-  Alcotest.(check int) "quarantined" 1 r.Dual_mode.watchdog_quarantined;
+  Alcotest.(check int) "no benching" 0 st.Core_sched.watchdog_demotions;
+  Alcotest.(check int) "quarantined" 1 st.Core_sched.watchdog_quarantines;
   let reg = Stallhide_obs.Stream.registry stream in
-  Alcotest.(check int) "counter mirrors result" r.Dual_mode.watchdog_strikes
+  Alcotest.(check int) "counter mirrors result" st.Core_sched.watchdog_strikes
     (Stallhide_obs.Registry.total reg "watchdog.strikes");
   Alcotest.(check int) "quarantine counted" 1
     (Stallhide_obs.Registry.total reg "watchdog.quarantines")
 
 let test_watchdog_backoff_readmits () =
-  let w = { Dual_mode.bound = 256; strikes = 1; backoff = 512; quarantine_after = 1000 } in
-  let r, stream = rogue_arm ~watchdog:(Some w) ~bursts:64 ~compute:2000 in
-  Alcotest.(check bool) "repeat demotions" true (r.Dual_mode.watchdog_demotions >= 2);
-  Alcotest.(check int) "never quarantined" 0 r.Dual_mode.watchdog_quarantined;
+  let w = { Core_sched.bound = 256; strikes = 1; backoff = 512; quarantine_after = 1000 } in
+  let st, stream = rogue_arm ~watchdog:(Some w) ~bursts:64 ~compute:2000 in
+  Alcotest.(check bool) "repeat demotions" true (st.Core_sched.watchdog_demotions >= 2);
+  Alcotest.(check int) "never quarantined" 0 st.Core_sched.watchdog_quarantines;
   Alcotest.(check bool) "readmitted between demotions" true
     (Stallhide_obs.Registry.total (Stallhide_obs.Stream.registry stream) "watchdog.readmissions"
     >= 1)
 
 let test_watchdog_off_by_default () =
-  let r, stream = rogue_arm ~watchdog:None ~bursts:64 ~compute:2000 in
-  Alcotest.(check int) "no strikes" 0 r.Dual_mode.watchdog_strikes;
+  let st, stream = rogue_arm ~watchdog:None ~bursts:64 ~compute:2000 in
+  Alcotest.(check int) "no strikes" 0 st.Core_sched.watchdog_strikes;
   Alcotest.(check int) "no events" 0
     (Stallhide_obs.Registry.total (Stallhide_obs.Stream.registry stream) "watchdog.strikes")
 

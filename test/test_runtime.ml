@@ -175,8 +175,8 @@ let test_tracer_scheduler_integration () =
   let mem, ctxs = chase ~lanes:4 ~hops:50 () in
   let tracer = Tracer.create () in
   let r =
-    Scheduler.run_round_robin ~tracer ~switch:Switch_cost.coroutine (Hierarchy.create cfg) mem
-      ctxs
+    Scheduler.run_round_robin ~obs:(Tracer.stream tracer) ~switch:Switch_cost.coroutine
+      (Hierarchy.create cfg) mem ctxs
   in
   Alcotest.(check int) "all complete" 4 r.Scheduler.completed;
   (* at least one dispatch span per yield and per context *)
@@ -197,7 +197,7 @@ let test_tracer_scheduler_integration () =
   in
   Alcotest.(check bool) "spans disjoint" true (disjoint sorted)
 
-(* --- Dual mode --- *)
+(* --- Dual mode: one-request Core_sched runs --- *)
 
 (* Scavenger program: yields primary-style at its miss, scavenger-style
    every ~50 cycles of compute. *)
@@ -249,23 +249,55 @@ let dual_setup ~scavs ~hops =
   in
   (mem, primary, scavengers)
 
+(* Submit the primary, add the scavengers and step until [Idle]: the
+   primary runs to completion, then the scavengers drain. Returns the
+   run, the primary's halt cycle and the scheduler stats. *)
+let dual_run ?config mem ~primary ~scavengers =
+  let sched = Core_sched.create ?config (Hierarchy.create cfg) mem in
+  Core_sched.submit sched primary;
+  Array.iter (Core_sched.add_scavenger sched) scavengers;
+  let primary_done_at = ref (-1) in
+  Core_sched.set_on_complete sched (fun _ ~now -> primary_done_at := now);
+  while Core_sched.step sched ~deadline:max_int = Core_sched.Worked do
+    ()
+  done;
+  let st = Core_sched.stats sched in
+  ( Scheduler.collect
+      (Array.append [| primary |] scavengers)
+      ~clock:(Core_sched.clock sched) ~switches:st.Core_sched.switches
+      ~switch_cycles:st.Core_sched.switch_cycles ~faults:(Core_sched.faults sched),
+    !primary_done_at,
+    st )
+
 let test_dual_mode_runs () =
   let mem, primary, scavengers = dual_setup ~scavs:4 ~hops:300 in
-  let r = Dual_mode.run (Hierarchy.create cfg) mem ~primary ~scavengers in
-  Alcotest.(check int) "all complete" 5 r.Dual_mode.sched.Scheduler.completed;
-  Alcotest.(check bool) "primary finished" true (r.Dual_mode.primary_done_at > 0);
-  Alcotest.(check bool) "scavengers dispatched" true (r.Dual_mode.scavenger_switches > 100);
-  Alcotest.(check (list string)) "no faults" [] r.Dual_mode.sched.Scheduler.faults
+  let r, primary_done_at, st = dual_run mem ~primary ~scavengers in
+  Alcotest.(check int) "all complete" 5 r.Scheduler.completed;
+  Alcotest.(check bool) "primary finished" true (primary_done_at > 0);
+  Alcotest.(check bool) "scavengers dispatched" true (st.Core_sched.scav_dispatches > 100);
+  Alcotest.(check (list string)) "no faults" [] r.Scheduler.faults
+
+(* Pinned to the numbers of the single-core dual-mode runner that
+   [Core_sched] replaced: round-robin scavenger rotation reproduces
+   them exactly; depth-first rotation does not. *)
+let test_dual_mode_round_robin_pin () =
+  let mem, primary, scavengers = dual_setup ~scavs:4 ~hops:300 in
+  let r, primary_done_at, _ = dual_run mem ~primary ~scavengers in
+  Alcotest.(check int) "cycles" 135626 r.Scheduler.cycles;
+  Alcotest.(check int) "switches" 2700 r.Scheduler.switches;
+  Alcotest.(check int) "switch cycles" 59400 r.Scheduler.switch_cycles;
+  Alcotest.(check int) "primary done at" 64968 primary_done_at;
+  Alcotest.(check int) "completed" 5 r.Scheduler.completed
 
 let test_dual_mode_beats_sequential_efficiency () =
   let mem, primary, scavengers = dual_setup ~scavs:4 ~hops:300 in
-  let r = Dual_mode.run (Hierarchy.create cfg) mem ~primary ~scavengers in
+  let r, _, _ = dual_run mem ~primary ~scavengers in
   let mem2, primary2, scavengers2 = dual_setup ~scavs:4 ~hops:300 in
   let all = Array.append [| primary2 |] scavengers2 in
   Array.iter (fun c -> c.Context.mode <- Context.Primary) all;
   let seq = Scheduler.run_sequential (Hierarchy.create cfg) mem2 all in
   Alcotest.(check bool) "dual mode more efficient" true
-    (Scheduler.efficiency r.Dual_mode.sched > 2.0 *. Scheduler.efficiency seq)
+    (Scheduler.efficiency r > 2.0 *. Scheduler.efficiency seq)
 
 let test_dual_mode_primary_latency_bounded () =
   (* Primary per-op latency under dual mode stays within a few switch +
@@ -273,8 +305,10 @@ let test_dual_mode_primary_latency_bounded () =
   let recorder = Latency.recorder () in
   let engine = { Engine.default_config with Engine.hooks = Latency.hooks recorder } in
   let mem, primary, scavengers = dual_setup ~scavs:4 ~hops:300 in
-  let config = { Dual_mode.default_config with Dual_mode.engine } in
-  let (_ : Dual_mode.result) = Dual_mode.run ~config (Hierarchy.create cfg) mem ~primary ~scavengers in
+  let config = { Core_sched.default_config with Core_sched.engine } in
+  let (_ : Scheduler.result * int * Core_sched.stats) =
+    dual_run ~config mem ~primary ~scavengers
+  in
   match Latency.summarize (Latency.of_ctx recorder 0) with
   | None -> Alcotest.fail "no primary latencies"
   | Some s ->
@@ -284,8 +318,8 @@ let test_dual_mode_primary_latency_bounded () =
 
 let test_dual_mode_no_scavengers () =
   let mem, primary, _ = dual_setup ~scavs:1 ~hops:50 in
-  let r = Dual_mode.run (Hierarchy.create cfg) mem ~primary ~scavengers:[||] in
-  Alcotest.(check int) "primary completes alone" 1 r.Dual_mode.sched.Scheduler.completed
+  let r, _, _ = dual_run mem ~primary ~scavengers:[||] in
+  Alcotest.(check int) "primary completes alone" 1 r.Scheduler.completed
 
 let () =
   Alcotest.run "runtime"
@@ -319,6 +353,7 @@ let () =
       ( "dual-mode",
         [
           Alcotest.test_case "runs to completion" `Quick test_dual_mode_runs;
+          Alcotest.test_case "round-robin pin" `Quick test_dual_mode_round_robin_pin;
           Alcotest.test_case "efficiency win" `Quick test_dual_mode_beats_sequential_efficiency;
           Alcotest.test_case "primary latency bounded" `Quick test_dual_mode_primary_latency_bounded;
           Alcotest.test_case "empty pool" `Quick test_dual_mode_no_scavengers;
