@@ -657,9 +657,7 @@ let trace_cmd =
         write_file path (fun path -> Obs.Perfetto.write ~path stream);
         Printf.printf "trace written to %s (load in ui.perfetto.dev or chrome://tracing)\n" path
     | _ -> (
-        let chart =
-          Stallhide_runtime.Tracer.render ~width (Stallhide_runtime.Tracer.of_stream stream)
-        in
+        let chart = Stallhide_runtime.Tracer.render ~width stream in
         match output with
         | Some path ->
             write_file path (fun path ->
@@ -879,6 +877,7 @@ let smp_cmd =
         exit 2);
     require_positive "cores" cores;
     require_positive "requests-per-core" requests_per_core;
+    require_positive "interarrival" interarrival;
     let policy =
       match Stallhide_sched.Dispatch.policy_of_string policy with
       | Some p -> p
@@ -1086,6 +1085,7 @@ let cluster_cmd =
     require_positive "machines" machines;
     require_positive "cores" cores;
     require_positive "requests" requests;
+    require_positive "interarrival" interarrival;
     let lb =
       match Lb.policy_of_string lb with
       | Some l -> l

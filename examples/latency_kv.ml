@@ -33,16 +33,14 @@ let lat = function
    scavengers fill its miss windows. *)
 let show_timeline () =
   let kv, analytics = build 200 in
-  let tracer = Tracer.create () in
+  let stream = Stallhide_obs.Stream.create () in
   let p_ctx = Workload.context kv ~lane:0 ~id:0 ~mode:Stallhide_cpu.Context.Primary in
   let s_ctxs =
     Array.init 4 (fun l ->
         Workload.context analytics ~lane:l ~id:(l + 1) ~mode:Stallhide_cpu.Context.Scavenger)
   in
   let sched =
-    Core_sched.create ~obs:(Tracer.stream tracer)
-      (Hierarchy.create Memconfig.default)
-      kv.Workload.image
+    Core_sched.create ~obs:stream (Hierarchy.create Memconfig.default) kv.Workload.image
   in
   Core_sched.submit sched p_ctx;
   Array.iter (Core_sched.add_scavenger sched) s_ctxs;
@@ -50,7 +48,7 @@ let show_timeline () =
     ()
   done;
   print_newline ();
-  print_string (Tracer.render ~width:72 tracer)
+  print_string (Tracer.render ~width:72 stream)
 
 let () =
   let alone =

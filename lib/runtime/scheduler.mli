@@ -7,9 +7,17 @@
       CoroBase / killer-nanoseconds: on every yield, switch (paying the
       liveness-aware switch cost) to the next runnable coroutine.
 
-    The §3.3 dual-mode scheduler is {!Core_sched}. All schedulers share one clock, hierarchy and memory image across
-    contexts, so coroutines contend for cache exactly as they would on
-    one core. *)
+      It is not a {!Core_sched} run with an empty request queue.
+      [Core_sched]'s pool runs its contexts in [Scavenger] mode, where a
+      scavenger-phase yield stops the context instead of being skipped
+      ({!Engine}), so a symmetric rotation of [Primary]-mode contexts
+      cannot be a pool. And on a halt this rotation charges [base] for
+      the switch to the next context, which [Core_sched]'s batch-only
+      slice does not.
+
+    The §3.3 dual-mode scheduler is {!Core_sched}. All schedulers share
+    one clock, hierarchy and memory image across contexts, so
+    coroutines contend for cache exactly as they would on one core. *)
 
 open Stallhide_cpu
 
@@ -64,8 +72,7 @@ val pp_result : Format.formatter -> result -> unit
 
 (** [traced ?obs engine hier mem ~clock ~deadline ctx] runs the engine
     and records the dispatch span into the telemetry stream (scheduler
-    building block; a {!Tracer.t} is a stream, pass
-    [~obs:(Tracer.stream t)] to draw it). Scheduling-level
+    building block; {!Tracer.render} draws the spans). Scheduling-level
     events ([Dispatch], [Context_switch], [Scavenger_escalation]) go to
     [obs]; the engine-level hooks in [engine] are independent of it. *)
 val traced :

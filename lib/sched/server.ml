@@ -1,4 +1,3 @@
-open Stallhide_isa
 open Stallhide_cpu
 open Stallhide_runtime
 
@@ -172,11 +171,18 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?obs hier mem tasks =
           end
         | _ -> Some t)
   in
-  let set_mode (t : Task.t) =
-    t.Task.ctx.Context.mode <-
-      (match (config.policy, t.Task.class_) with
-      | Event_aware, Task.Batch -> Context.Scavenger
-      | (Event_aware | Side_integration | Run_to_completion), _ -> Context.Primary)
+  (* Event-aware serving is one §3.3 dual-mode core: admitted latency
+     tasks are its requests, admitted batch tasks its scavengers. *)
+  let core =
+    Core_sched.create
+      ~config:{ Core_sched.default_config with engine = config.engine; switch = config.switch }
+      ?obs hier mem
+  in
+  let start (t : Task.t) =
+    match (config.policy, t.Task.class_) with
+    | Event_aware, Task.Latency -> Core_sched.submit core t.Task.ctx
+    | Event_aware, Task.Batch -> Core_sched.add_scavenger core t.Task.ctx
+    | (Side_integration | Run_to_completion), _ -> t.Task.ctx.Context.mode <- Context.Primary
   in
   let admit () =
     absorb ();
@@ -194,7 +200,7 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?obs hier mem tasks =
       if Stallhide_util.Vec.length active < cap then
         match pop_live () with
         | Some t ->
-            set_mode t;
+            start t;
             Stallhide_util.Vec.push active t;
             go ()
         | None -> ()
@@ -219,81 +225,22 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?obs hier mem tasks =
     Stallhide_util.Vec.clear active;
     Stallhide_util.Vec.iter (Stallhide_util.Vec.push active) live
   in
-  let emit event =
-    match obs with Some s -> Stallhide_obs.Stream.record s event | None -> ()
-  in
-  let switch_event ~from_ctx ~at_pc cost =
-    emit
-      (Stallhide_obs.Event.Context_switch { from_ctx; to_ctx = -1; at_pc; cost; cycle = !clock })
-  in
   let charge (t : Task.t) pc =
     incr switches;
-    let c = Switch_cost.at_site config.switch t.Task.ctx.Context.program pc in
-    switch_cycles := !switch_cycles + c;
-    switch_event ~from_ctx:t.Task.ctx.Context.id ~at_pc:pc c;
-    clock := !clock + c
-  in
-  let charge_base () =
-    incr switches;
-    switch_cycles := !switch_cycles + config.switch.Switch_cost.base;
-    switch_event ~from_ctx:(-1) ~at_pc:(-1) config.switch.Switch_cost.base;
-    clock := !clock + config.switch.Switch_cost.base
+    let cost = Switch_cost.at_site config.switch t.Task.ctx.Context.program pc in
+    switch_cycles := !switch_cycles + cost;
+    (match obs with
+    | Some s ->
+        Stallhide_obs.Stream.record s
+          (Stallhide_obs.Event.Context_switch
+             { from_ctx = t.Task.ctx.Context.id; to_ctx = -1; at_pc = pc; cost; cycle = !clock })
+    | None -> ());
+    clock := !clock + cost
   in
   let dispatch (t : Task.t) =
-    if t.Task.started_at < 0 then t.Task.started_at <- !clock;
-    let before = !clock in
-    let r = Engine.run config.engine hier mem ~clock ~deadline:max_cycles t.Task.ctx in
-    if !clock > before then
-      emit
-        (Stallhide_obs.Event.Dispatch
-           { ctx = t.Task.ctx.Context.id; start = before; stop = !clock });
-    r
+    Scheduler.traced ?obs config.engine hier mem ~clock ~deadline:max_cycles t.Task.ctx
   in
-  (* Event-aware: batch tasks fill a latency task's stall until one of
-     them reaches a scavenger-phase yield. *)
   let rr = ref 0 in
-  let batch_at k =
-    let n = Stallhide_util.Vec.length active in
-    let rec find j count =
-      if count = n then None
-      else
-        let t = Stallhide_util.Vec.get active (j mod n) in
-        if t.Task.class_ = Task.Batch && Context.is_ready t.Task.ctx then Some (j mod n)
-        else find (j + 1) (count + 1)
-    in
-    find k 0
-  in
-  let rec hide guard =
-    if guard > 0 && !clock < max_cycles then
-      match batch_at !rr with
-      | None -> ()
-      | Some j -> (
-          rr := j + 1;
-          let t = Stallhide_util.Vec.get active j in
-          match dispatch t with
-          | Engine.Yielded (Instr.Scavenger, pc) -> charge t pc
-          | Engine.Yielded (Instr.Primary, pc) ->
-              emit
-                (Stallhide_obs.Event.Scavenger_escalation
-                   { ctx = t.Task.ctx.Context.id; pc; cycle = !clock });
-              charge t pc;
-              hide (guard - 1)
-          | Engine.Halted | Engine.Fault _ ->
-              charge_base ();
-              hide (guard - 1)
-          | Engine.Out_of_budget -> ())
-  in
-  let oldest_latency () =
-    let best = ref None in
-    Stallhide_util.Vec.iter
-      (fun (t : Task.t) ->
-        if t.Task.class_ = Task.Latency && Context.is_ready t.Task.ctx then
-          match !best with
-          | Some (b : Task.t) when b.Task.arrival <= t.Task.arrival -> ()
-          | _ -> best := Some t)
-      active;
-    !best
-  in
   (* Main loop: one dispatch decision per iteration. *)
   let continue = ref true in
   while
@@ -335,24 +282,10 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?obs hier mem tasks =
           match dispatch t with
           | Engine.Yielded (_, pc) -> if n > 1 || not (Ready_queue.is_empty rq) then charge t pc
           | Engine.Halted | Engine.Fault _ | Engine.Out_of_budget -> ())
-      | Event_aware -> (
-          match oldest_latency () with
-          | Some t -> (
-              match dispatch t with
-              | Engine.Yielded (_, pc) ->
-                  charge t pc;
-                  hide (2 * Stallhide_util.Vec.length active)
-              | Engine.Halted | Engine.Fault _ | Engine.Out_of_budget -> ())
-          | None -> (
-              (* batch-only periods behave like symmetric interleaving *)
-              match batch_at !rr with
-              | None -> ()
-              | Some j -> (
-                  rr := j + 1;
-                  let t = Stallhide_util.Vec.get active j in
-                  match dispatch t with
-                  | Engine.Yielded (_, pc) -> charge t pc
-                  | Engine.Halted | Engine.Fault _ | Engine.Out_of_budget -> ()))));
+      | Event_aware ->
+          Core_sched.advance_clock core !clock;
+          let (_ : Core_sched.outcome) = Core_sched.step core ~deadline:max_cycles in
+          clock := Core_sched.clock core);
       remove_inactive ()
     end
   done;
@@ -371,8 +304,8 @@ let run ?(config = default_config) ?(max_cycles = max_int) ?obs hier mem tasks =
   {
     cycles = !clock;
     idle = !idle;
-    switches = !switches;
-    switch_cycles = !switch_cycles;
+    switches = !switches + (Core_sched.stats core).Core_sched.switches;
+    switch_cycles = !switch_cycles + (Core_sched.stats core).Core_sched.switch_cycles;
     stall;
     completed = !completed;
     faulted = !faulted;

@@ -9,10 +9,17 @@
       the stall-hiding mechanism can switch to another admitted task at
       every yield (symmetric interleaving across classes).
     - [Event_aware] — the second option: the scheduler itself
-      understands short events. Latency-class tasks run in primary
-      mode and are serviced FCFS; batch-class tasks run in scavenger
-      mode and fill their stalls, returning the core at scavenger
-      yields.
+      understands short events. The run is one {!Core_sched}: an
+      admitted latency-class task is submitted as a request (primary
+      mode, FIFO in admission order), an admitted batch-class task is
+      added to its scavenger pool, and each dispatch round is one
+      [Core_sched.step] — the §3.3 hide loop, escalation and scavenger
+      rotation are [Core_sched]'s own.
+
+    [Server] itself is the front end around that: open-loop arrivals,
+    [max_active] admission across both classes (the event-aware policy
+    admits queued latency tasks ahead of batch ones), overload
+    protection, and [finished_at] stamped after each dispatch round.
 
     Sojourn time (completion − arrival) per class is the figure of
     merit, next to core efficiency. *)

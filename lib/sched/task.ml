@@ -7,13 +7,12 @@ type t = {
   ctx : Context.t;
   class_ : class_;
   arrival : int;
-  mutable started_at : int;
   mutable finished_at : int;
 }
 
 let create ~id ~class_ ~arrival ctx =
   if arrival < 0 then invalid_arg "Task.create: negative arrival";
-  { id; ctx; class_; arrival; started_at = -1; finished_at = -1 }
+  { id; ctx; class_; arrival; finished_at = -1 }
 
 let sojourn t = if t.finished_at < 0 then None else Some (t.finished_at - t.arrival)
 

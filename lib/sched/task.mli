@@ -13,7 +13,6 @@ type t = {
   ctx : Context.t;
   class_ : class_;
   arrival : int;
-  mutable started_at : int;  (** first dispatch; -1 before *)
   mutable finished_at : int;  (** completion; -1 before *)
 }
 

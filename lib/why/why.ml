@@ -174,18 +174,14 @@ let run_single cfg prepared ?(memcfg = Memconfig.default) ?lanes ?stream ~seed ~
     | Some pred -> fun ~pc ~stall -> if pred pc then 0 else inject ~pc ~stall
     | None -> inject
   in
-  let recorder = Latency.recorder () in
-  let hooks =
-    match stream with
-    | Some st -> Events.compose [ Latency.hooks recorder; Stream.hooks st ]
-    | None -> Latency.hooks recorder
-  in
+  let hooks = match stream with Some st -> Stream.hooks st | None -> Events.nop in
   let engine = { Engine.default_config with hooks; stall_shape = Some shape } in
+  let ctxs = Workload.contexts wl in
+  let log = Latency.watch ctxs in
   let _ =
-    Scheduler.run_round_robin ~engine ~switch:Switch_cost.coroutine hier wl.Workload.image
-      (Workload.contexts wl)
+    Scheduler.run_round_robin ~engine ~switch:Switch_cost.coroutine hier wl.Workload.image ctxs
   in
-  sample_of_summary (Latency.summary (Latency.all recorder))
+  sample_of_summary (Latency.summary (Latency.all (Latency.of_log log)))
 
 (* The "dominant" yield site for ground-truth injection: the selected
    site whose covered loads execute the most in a clean baseline run

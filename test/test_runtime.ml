@@ -146,53 +146,59 @@ let test_scheduler_fault_isolation () =
   Alcotest.(check int) "good one completed" 1 r.Scheduler.completed;
   Alcotest.(check int) "fault recorded" 1 (List.length r.Scheduler.faults)
 
-(* --- Tracer --- *)
+(* --- Tracer: timelines over the telemetry stream --- *)
+
+module Stream = Stallhide_obs.Stream
+
+let record_span s ~ctx ~start ~stop =
+  Stream.record s (Stallhide_obs.Event.Dispatch { ctx; start; stop })
+
+let span_count s = List.length (Stream.spans s)
+
+let busy_of s ctx =
+  List.fold_left
+    (fun acc (c, start, stop) -> if c = ctx then acc + (stop - start) else acc)
+    0 (Stream.spans s)
 
 let test_tracer_basics () =
-  let t = Tracer.create () in
-  Tracer.record t ~ctx:0 ~start:0 ~stop:10;
-  Tracer.record t ~ctx:1 ~start:10 ~stop:30;
-  Tracer.record t ~ctx:0 ~start:30 ~stop:35;
-  Tracer.record t ~ctx:0 ~start:35 ~stop:35 (* empty span ignored *);
-  Alcotest.(check int) "spans" 3 (Tracer.span_count t);
-  Alcotest.(check int) "busy ctx0" 15 (Tracer.busy_of t 0);
-  Alcotest.(check int) "busy ctx1" 20 (Tracer.busy_of t 1);
-  let chart = Tracer.render ~width:35 t in
+  let s = Stream.create () in
+  record_span s ~ctx:0 ~start:0 ~stop:10;
+  record_span s ~ctx:1 ~start:10 ~stop:30;
+  record_span s ~ctx:0 ~start:30 ~stop:35;
+  Alcotest.(check int) "spans" 3 (span_count s);
+  Alcotest.(check int) "busy ctx0" 15 (busy_of s 0);
+  Alcotest.(check int) "busy ctx1" 20 (busy_of s 1);
+  let chart = Tracer.render ~width:35 s in
   Alcotest.(check bool) "has both rows" true
     (String.length chart > 0
     && String.split_on_char '\n' chart |> List.length >= 3)
 
 let test_tracer_bounded () =
-  let t = Tracer.create ~max_spans:2 () in
+  let s = Stream.create ~capacity:2 () in
   for i = 0 to 4 do
-    Tracer.record t ~ctx:0 ~start:(i * 10) ~stop:((i * 10) + 5)
+    record_span s ~ctx:0 ~start:(i * 10) ~stop:((i * 10) + 5)
   done;
-  Alcotest.(check int) "capped" 2 (Tracer.span_count t);
-  Alcotest.(check int) "dropped" 3 (Tracer.dropped t);
-  Alcotest.(check string) "empty render" "" (Tracer.render (Tracer.create ()))
+  Alcotest.(check int) "capped" 2 (span_count s);
+  Alcotest.(check int) "dropped" 3 (Stream.dropped s);
+  Alcotest.(check string) "empty render" "" (Tracer.render (Stream.create ()))
 
 let test_tracer_scheduler_integration () =
   let mem, ctxs = chase ~lanes:4 ~hops:50 () in
-  let tracer = Tracer.create () in
+  let s = Stream.create () in
   let r =
-    Scheduler.run_round_robin ~obs:(Tracer.stream tracer) ~switch:Switch_cost.coroutine
-      (Hierarchy.create cfg) mem ctxs
+    Scheduler.run_round_robin ~obs:s ~switch:Switch_cost.coroutine (Hierarchy.create cfg) mem
+      ctxs
   in
   Alcotest.(check int) "all complete" 4 r.Scheduler.completed;
   (* at least one dispatch span per yield and per context *)
-  Alcotest.(check bool) "spans recorded" true (Tracer.span_count tracer >= 4 * 50);
+  Alcotest.(check bool) "spans recorded" true (span_count s >= 4 * 50);
   for id = 0 to 3 do
-    Alcotest.(check bool) "every ctx appears" true (Tracer.busy_of tracer id > 0)
+    Alcotest.(check bool) "every ctx appears" true (busy_of s id > 0)
   done;
   (* every cycle belongs to at most one context: spans are disjoint *)
-  let sorted =
-    List.sort
-      (fun (a : Tracer.span) b -> compare a.Tracer.start b.Tracer.start)
-      (Tracer.spans tracer)
-  in
+  let sorted = List.sort (fun (_, a, _) (_, b, _) -> compare a b) (Stream.spans s) in
   let rec disjoint = function
-    | (a : Tracer.span) :: (b :: _ as rest) ->
-        a.Tracer.stop <= b.Tracer.start && disjoint rest
+    | (_, _, stop) :: ((_, start, _) :: _ as rest) -> stop <= start && disjoint rest
     | [ _ ] | [] -> true
   in
   Alcotest.(check bool) "spans disjoint" true (disjoint sorted)

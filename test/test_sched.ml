@@ -192,6 +192,97 @@ let test_determinism () =
   let a = once () and b = once () in
   Alcotest.(check (pair int int)) "same run" a b
 
+(* --- Scheduler conformance --- *)
+
+(* Generated programs are interleaving-independent by construction
+   (lane-private writes, read-only pointer arena), so every front end
+   must reach the architectural state of the uninstrumented sequential
+   run: sequential and round-robin, a one-request-per-lane [Core_sched]
+   with an empty pool, and [Server] under every policy with alternating
+   classes, staggered arrivals and [max_active] below the lane count
+   (so admission, hiding and escalation all run). *)
+
+module Gen = Stallhide_check.Gen
+module State = Stallhide_check.State
+module Workload = Stallhide_workloads.Workload
+module Scheduler = Stallhide_runtime.Scheduler
+module Core_sched = Stallhide_runtime.Core_sched
+
+(* every load looks miss-prone: dense instrumentation, no profiling run *)
+let estimates =
+  {
+    Stallhide_binopt.Gain_cost.miss_probability = (fun _ -> Some 0.9);
+    stall_per_miss = (fun _ -> Some 160.0);
+  }
+
+let test_conformance () =
+  let switches = ref 0 and completions = ref 0 and escalations = ref 0 in
+  for seed = 0 to 299 do
+    let { Gen.cfg; program } = Gen.case ~seed () in
+    let inst =
+      (Stallhide.Pipeline.instrument_with ~estimates
+         ~scavenger_interval:cfg.Gen.scavenger_interval program)
+        .Stallhide.Pipeline.program
+    in
+    (* each front end runs on a fresh image: runs mutate it *)
+    let capture prog run =
+      let wl = Gen.workload ~prog cfg in
+      let ctxs = Workload.contexts ~mode:Context.Primary wl in
+      run (Hierarchy.create Memconfig.default) wl.Workload.image ctxs;
+      State.capture ~mem:wl.Workload.image ctxs
+    in
+    let sequential hier mem ctxs = ignore (Scheduler.run_sequential hier mem ctxs) in
+    let reference = capture program sequential in
+    let core_sched hier mem ctxs =
+      let core = Core_sched.create hier mem in
+      Array.iter (Core_sched.submit core) ctxs;
+      while Core_sched.step core ~deadline:max_int = Core_sched.Worked do
+        ()
+      done
+    in
+    let server policy hier mem ctxs =
+      let tasks =
+        Array.to_list ctxs
+        |> List.mapi (fun i ctx ->
+               let class_ = if i mod 2 = 0 then Task.Latency else Task.Batch in
+               Task.create ~id:i ~class_ ~arrival:(i * 40) ctx)
+      in
+      let max_active = max 1 (Array.length ctxs - 1) in
+      let obs = Stallhide_obs.Stream.create () in
+      let r =
+        Server.run ~config:{ Server.default_config with Server.policy; max_active } ~obs hier
+          mem tasks
+      in
+      if policy = Server.Event_aware then begin
+        switches := !switches + r.Server.switches;
+        completions := !completions + r.Server.completed;
+        Stallhide_obs.Stream.iter
+          (function Stallhide_obs.Event.Scavenger_escalation _ -> incr escalations | _ -> ())
+          obs
+      end
+    in
+    List.iter
+      (fun (name, run) ->
+        match State.diff reference (capture inst run) with
+        | Some d -> Alcotest.failf "seed %d, %s: %s" seed name d
+        | None -> ())
+      [
+        ("sequential", sequential);
+        ( "round-robin",
+          fun hier mem ctxs ->
+            ignore
+              (Scheduler.run_round_robin ~switch:Stallhide_runtime.Switch_cost.coroutine hier
+                 mem ctxs) );
+        ("core-sched", core_sched);
+        ("run-to-completion", server Server.Run_to_completion);
+        ("side-integration", server Server.Side_integration);
+        ("event-aware", server Server.Event_aware);
+      ]
+  done;
+  Alcotest.(check bool) "event-aware switched" true (!switches > 0);
+  Alcotest.(check bool) "event-aware escalated" true (!escalations > 0);
+  Alcotest.(check bool) "event-aware completed" true (!completions > 0)
+
 let () =
   Alcotest.run "sched"
     [
@@ -212,4 +303,5 @@ let () =
           Alcotest.test_case "unsorted rejected" `Quick test_unsorted_rejected;
           Alcotest.test_case "deterministic" `Quick test_determinism;
         ] );
+      ("conformance", [ Alcotest.test_case "front ends agree" `Quick test_conformance ]);
     ]
